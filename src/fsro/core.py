@@ -46,10 +46,6 @@ def mask_string(mask: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in mask)
 
 
-def parse_mask(text: str) -> np.ndarray:
-    return new_mask([int(c) for c in text])
-
-
 @dataclass
 class Agent:
     """One search agent: a mask plus its current and previous fitness."""

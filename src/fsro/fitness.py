@@ -9,6 +9,12 @@ Tie rules are pinned for cross-platform determinism: a vote tie goes to the
 smallest class index, and a distance tie at the k-th neighbor goes to the
 smaller training-instance index. Neighbors are taken by k argmin-extraction
 passes, which realizes exactly that (distance, index) lexicographic order.
+
+Distances have one definition. A plane is the (n_test, n_train) matrix of
+squared differences on one feature, computed by `_square_diff`; a mask's
+squared distances are its planes summed by `_accumulate` in feature-index
+order. Every caller goes through these two functions, so every route to a
+distance gives the same bits.
 """
 
 from __future__ import annotations
@@ -54,16 +60,32 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
     return out
 
 
-def _masked_dist2(a: np.ndarray, b: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances over selected features only, (len(a), len(b)).
+# Largest (n_features, n_test, n_train) float64 plane stack an evaluator
+# precomputes; past it, each mask computes its planes into a scratch buffer.
+STACK_BUDGET_BYTES = 200_000_000
 
-    Accumulated feature by feature in index order so every code path that
-    computes distances produces bit-identical values.
+
+def _square_diff(test: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[..., i, j] = (test[..., i] - train[..., j]) ** 2, written in place.
+
+    Given one feature's test and train values this is one plane; given
+    (n_features, n) row arrays it is the whole stack of planes.
     """
-    d2 = np.zeros((a.shape[0], b.shape[0]))
-    for f in selected:
-        d2 += (a[:, f, None] - b[None, :, f]) ** 2
-    return d2
+    np.subtract(test[..., :, None], train[..., None, :], out=out)
+    return np.square(out, out=out)
+
+
+def _accumulate(out: np.ndarray, planes) -> np.ndarray:
+    """Sum a non-empty sequence of planes into out, in the order given.
+
+    The first plane is copied instead of added to zeros. 0.0 + x == x
+    exactly, so the result is the same left-to-right sum either way.
+    """
+    planes = iter(planes)
+    np.copyto(out, next(planes))
+    for plane in planes:
+        out += plane
+    return out
 
 
 def _nearest_indices(d2: np.ndarray, k: int) -> np.ndarray:
@@ -98,7 +120,9 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray,
         raise ValueError("mask selects no features; repair masks before evaluating")
     if k > train_x.shape[0]:
         raise ValueError(f"k={k} exceeds training-set size {train_x.shape[0]}")
-    d2 = _masked_dist2(queries, train_x, selected)
+    scratch = np.empty((queries.shape[0], train_x.shape[0]))
+    d2 = _accumulate(np.empty_like(scratch),
+                     (_square_diff(queries[:, f], train_x[:, f], scratch) for f in selected))
     neighbors = _nearest_indices(d2, k)
     n_classes = int(train_y.max()) + 1
     return _vote(train_y[neighbors], n_classes)
@@ -124,12 +148,23 @@ def fitness_value(err: float, selected_count: int, total_features: int, alpha: f
 class FitnessEvaluator:
     """Cached mask -> fitness function over one normalized train/test split.
 
-    Per-feature squared-difference matrices are precomputed once (skipped for
-    very large splits, where per-mask recomputation with the same accumulation
-    order gives bit-identical values), so each new mask costs one masked
-    accumulation plus k argmin passes. Evaluation is pure; the per-run cache
-    is a plain dict, safe under the GIL for concurrent reads with the writes
-    serialized by the single-run ownership contract.
+    The split is normalized once and held feature-major: C-contiguous
+    (n_features, n_test) and (n_features, n_train) row arrays, so one
+    feature's values are one contiguous row. `test_x` and `train_x` are
+    transposed views of those rows, not second copies.
+
+    Each uncached mask sums its selected planes into one reused distance
+    buffer, then takes k argmin passes and a vote. A plane comes from one of
+    two sources. While the full stack of planes fits in STACK_BUDGET_BYTES,
+    the stack is built once into a single C-contiguous array and a plane is
+    a slice of it. Past the budget, a plane is computed per mask into one
+    reused scratch buffer. Both sources compute every element with the same
+    subtract-then-square in `_square_diff`, and `_accumulate` adds the planes
+    in feature-index order, so both give the same bits.
+
+    The reused buffers make an evaluator belong to one run: it is not
+    reentrant and must not be shared between threads. The mask cache is a
+    plain dict owned by that run.
     """
 
     def __init__(self, dataset: Dataset, split: Split, params: FitnessParams):
@@ -138,8 +173,10 @@ class FitnessEvaluator:
         self.params = params
         train_raw = dataset.features[split.train_indices]
         test_raw = dataset.features[split.test_indices]
-        self.train_x = minmax_normalize(train_raw, train_raw)
-        self.test_x = minmax_normalize(train_raw, test_raw)
+        self._train_rows = np.ascontiguousarray(minmax_normalize(train_raw, train_raw).T)
+        self._test_rows = np.ascontiguousarray(minmax_normalize(train_raw, test_raw).T)
+        self.train_x = self._train_rows.T
+        self.test_x = self._test_rows.T
         self.train_y = dataset.labels[split.train_indices]
         self.test_y = dataset.labels[split.test_indices]
         if params.k_neighbors > self.train_x.shape[0]:
@@ -148,27 +185,30 @@ class FitnessEvaluator:
             )
         self.n_features = dataset.n_features
         self.n_classes = dataset.n_classes
-        stack_bytes = 8 * self.n_features * len(self.test_y) * len(self.train_y)
-        if stack_bytes <= 200_000_000:
-            self._dist2_stack = (
-                self.test_x.T[:, :, None] - self.train_x.T[:, None, :]
-            ) ** 2
-            self._buf = np.empty_like(self._dist2_stack[0])
+        plane_shape = (len(self.test_y), len(self.train_y))
+        self._d2 = np.empty(plane_shape)
+        if 8 * self.n_features * self._d2.size <= STACK_BUDGET_BYTES:
+            self._stack = _square_diff(self._test_rows, self._train_rows,
+                                       np.empty((self.n_features, *plane_shape)))
+            self._scratch = None
         else:
-            self._dist2_stack = None
+            self._stack = None
+            self._scratch = np.empty(plane_shape)
         self._cache: dict[bytes, tuple[float, float]] = {}
 
+    def _planes(self, selected: np.ndarray):
+        """The selected features' planes, lazily and in index order.
+
+        Over the budget every plane is the same scratch buffer, rewritten on
+        each step, so a plane must be used before the next one is drawn.
+        """
+        if self._stack is not None:
+            return (self._stack[f] for f in selected)
+        return (_square_diff(self._test_rows[f], self._train_rows[f], self._scratch)
+                for f in selected)
+
     def _error(self, mask: np.ndarray) -> float:
-        selected = np.flatnonzero(mask)
-        if self._dist2_stack is not None:
-            # 0 + x == x exactly, so seeding the buffer with the first plane
-            # matches _masked_dist2's zeros-plus-accumulate bit for bit
-            d2 = self._buf
-            np.copyto(d2, self._dist2_stack[selected[0]])
-            for f in selected[1:]:
-                d2 += self._dist2_stack[f]
-        else:
-            d2 = _masked_dist2(self.test_x, self.train_x, selected)
+        d2 = _accumulate(self._d2, self._planes(np.flatnonzero(mask)))
         neighbors = _nearest_indices(d2, self.params.k_neighbors)
         pred = _vote(self.train_y[neighbors], self.n_classes)
         return float(np.mean(pred != self.test_y))

@@ -1,0 +1,47 @@
+import numpy as np
+import pytest
+
+from fsro.bench import EXACT_LIMIT, Decision, wilcoxon_signed_rank
+from oracles import wilcoxon_enum_p
+
+
+def _tied_pairs(g, n, zeros):
+    """Paired samples on a coarse grid: |differences| tie, `zeros` of them are 0.
+
+    Positive differences are likelier, so both decisions occur.
+    """
+    b = g.integers(0, 6, size=n) / 4.0
+    steps = g.integers(1, 4, size=n) * g.choice([-1, 1], size=n, p=[0.3, 0.7])
+    steps[g.choice(n, size=zeros, replace=False)] = 0
+    return list(b + steps / 4.0), list(b)
+
+
+def test_exact_branch_matches_enumeration_oracle():
+    g = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(g.integers(1, 13))
+        a, b = _tied_pairs(g, n, zeros=int(g.integers(0, n // 3 + 1)))
+        p, decision = wilcoxon_signed_rank(a, b)
+        assert p == wilcoxon_enum_p(a, b)
+        assert decision is (Decision.SIGNIFICANT if p < 0.05 else Decision.NO_DIFFERENCE)
+
+
+def test_identical_samples_give_p_one():
+    assert wilcoxon_signed_rank([0.1, 0.2], [0.1, 0.2]) == (1.0, Decision.NO_DIFFERENCE)
+
+
+def test_unequal_lengths_are_rejected():
+    with pytest.raises(ValueError):
+        wilcoxon_signed_rank([0.1, 0.2], [0.1])
+
+
+@pytest.mark.parametrize("n", [25, 30, 50])
+def test_normal_branch_matches_scipy(n):
+    stats = pytest.importorskip("scipy.stats")
+    g = np.random.default_rng(n)
+    a, b = _tied_pairs(g, n, zeros=3)
+    assert sum(x != y for x, y in zip(a, b)) > EXACT_LIMIT
+    p, _ = wilcoxon_signed_rank(a, b)
+    want = stats.wilcoxon(a, b, zero_method="wilcox", correction=True,
+                          method="approx").pvalue
+    assert p == pytest.approx(want, rel=0, abs=1e-12)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_evaluator
-from fsro import FitnessParams
+from fsro import FitnessParams, RngStream, fitness, generate_m_of_n
 from fsro.core import ConfigError, new_mask
+from fsro.data import Dataset
 from fsro.fitness import (
     error_rate,
     fitness_value,
@@ -168,3 +169,68 @@ def test_evaluator_rejects_zero_mask(small_m_of_n):
     evaluator, _ = make_evaluator(small_m_of_n, seed=2)
     with pytest.raises(ValueError):
         evaluator.evaluate(np.zeros(small_m_of_n.n_features, dtype=np.uint8))
+
+
+def _continuous_dataset():
+    g = np.random.default_rng(2024)
+    labels = np.arange(90) % 3
+    features = g.standard_normal((90, 9)) + labels[:, None] * g.uniform(0.0, 1.0, 9)
+    return Dataset("continuous", features, labels.astype(np.int64))
+
+
+KERNEL_DATASETS = {
+    # binary features: distances tie constantly
+    "binary": lambda: generate_m_of_n(3, 2, 6, 120, RngStream(3)),
+    # real-valued features: no ties, so the arithmetic itself is compared
+    "continuous": _continuous_dataset,
+}
+
+
+def _random_masks(n_features, count, seed):
+    g = np.random.default_rng(seed)
+    masks = []
+    for _ in range(count):
+        mask = np.zeros(n_features, dtype=np.uint8)
+        mask[g.choice(n_features, size=int(g.integers(1, n_features + 1)),
+                      replace=False)] = 1
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
+def test_stack_and_over_budget_paths_are_bit_identical(kind, monkeypatch):
+    dataset = KERNEL_DATASETS[kind]()
+    stacked, _ = make_evaluator(dataset, seed=4)
+    monkeypatch.setattr(fitness, "STACK_BUDGET_BYTES", 0)
+    scratch, _ = make_evaluator(dataset, seed=4)
+    assert stacked._stack is not None and scratch._stack is None
+    test_x, train_x = stacked.test_x, stacked.train_x
+    for mask in _random_masks(dataset.n_features, 40, seed=11):
+        selected = np.flatnonzero(mask)
+        # reference: zeros plus each squared-difference plane, in feature order
+        want = np.zeros((len(test_x), len(train_x)))
+        for f in selected:
+            want = want + (test_x[:, f, None] - train_x[None, :, f]) ** 2
+        for evaluator in (stacked, scratch):
+            got = fitness._accumulate(np.empty_like(want), evaluator._planes(selected))
+            assert np.array_equal(got, want)
+        result = stacked.error_and_fitness(mask)
+        assert scratch.error_and_fitness(mask) == result
+        assert result[0] == error_rate(train_x, stacked.train_y, test_x, stacked.test_y,
+                                       stacked.params.k_neighbors, mask)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
+def test_evaluator_holds_normalized_rows_feature_major(kind):
+    dataset = KERNEL_DATASETS[kind]()
+    evaluator, _ = make_evaluator(dataset, seed=6)
+    train_raw = dataset.features[evaluator.split.train_indices]
+    test_raw = dataset.features[evaluator.split.test_indices]
+    assert np.array_equal(evaluator.train_x, minmax_normalize(train_raw, train_raw))
+    assert np.array_equal(evaluator.test_x, minmax_normalize(train_raw, test_raw))
+    # feature-major: each feature's values are one contiguous row
+    assert evaluator.train_x.T.flags.c_contiguous
+    assert evaluator.test_x.T.flags.c_contiguous
+    stack = evaluator._stack
+    assert stack.flags.c_contiguous
+    assert stack.shape == (dataset.n_features, len(evaluator.test_y), len(evaluator.train_y))

@@ -1,0 +1,76 @@
+"""Frozen replay fixture: `fsro run` must reproduce these files byte for byte.
+
+Each case is one CLI invocation. Its deterministic outputs (summary.csv,
+runs.csv and every trace) are committed under tests/data/golden/<case>/.
+The m-of-n case has binary features, so KNN distances tie constantly and the
+tie rules decide the outcome; the real-valued case is tie-free, so its
+outcome rests on the distance order alone. Both are checked at one and two
+workers and with the stack budget at 0, which sends every distance plane
+through the over-budget scratch path.
+
+The fixture changes only on purpose, together with a note saying why. To
+re-freeze it, run this file as a script from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+from pathlib import Path
+
+import pytest
+
+from fsro import fitness
+from fsro.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
+GOLDEN_DIR = DATA_DIR / "golden"
+SMALL = ["--runs", "3", "--iterations", "4", "--pop-size", "8"]
+DATASETS = {
+    "mofn": ["--synthetic", "m-of-n:3,2,4,60", "--seed", "11"],
+    # a relative path, so the dataset name in runs.csv is machine-independent
+    "real": ["--dataset", "real_small.csv", "--seed", "5"],
+}
+CASES = [(data, algo) for data in DATASETS for algo in ("fsro", "ga", "bpso")]
+
+
+def _run_case(data: str, algo: str, out: Path, workers: int = 1) -> None:
+    argv = ["run", *DATASETS[data], *SMALL, "--algorithm", algo,
+            "--workers", str(workers), "--out", str(out)]
+    assert main(argv) == 0
+
+
+def _replay_files(out: Path) -> dict[str, bytes]:
+    """Every deterministic output; timings.csv holds clock values and is left out."""
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))
+            if p.name != "timings.csv"}
+
+
+@pytest.mark.parametrize("data,algo", CASES)
+@pytest.mark.parametrize("mode", ["workers1", "workers2", "over_budget"])
+def test_cli_replays_golden_outputs(data, algo, mode, tmp_path, monkeypatch):
+    monkeypatch.chdir(DATA_DIR)
+    if mode == "over_budget":
+        monkeypatch.setattr(fitness, "STACK_BUDGET_BYTES", 0)
+    _run_case(data, algo, tmp_path, workers=2 if mode == "workers2" else 1)
+    got = _replay_files(tmp_path)
+    want = _replay_files(GOLDEN_DIR / data / algo)
+    assert len(want) == 5  # summary.csv, runs.csv and three traces
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], f"{data}/{algo}/{name} differs from the golden file"
+
+
+def _freeze() -> None:
+    os.chdir(DATA_DIR)
+    for data, algo in CASES:
+        target = GOLDEN_DIR / data / algo
+        shutil.rmtree(target, ignore_errors=True)
+        _run_case(data, algo, target)
+        (target / "timings.csv").unlink()
+
+
+if __name__ == "__main__":
+    _freeze()
