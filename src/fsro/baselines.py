@@ -2,6 +2,13 @@
 
 Both are elitist, use the same zero-mask repair, and consume one RngStream in
 a fixed order, so their runs replay exactly like the main engine's.
+
+They take the engine's batch protocol, `evaluate(masks) -> list[float]`,
+called once for the initial population and once per generation after all
+of its draws. GA scores its offspring together once they are all bred.
+BPSO defers its personal-best updates until the swarm's batch is scored;
+that changes nothing, because particle i's velocity reads only its own
+pbest[i] and the gbest from the start of the sweep.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ def _tournament(fitness: list[float], rng: RngStream) -> int:
 def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams,
             evaluate, rng: RngStream) -> tuple[list[np.ndarray], list[float]]:
     """One elitist generation: tournament parents, one-point crossover at the
-    crossover rate, then one random bit flip per offspring at the mutation rate."""
+    crossover rate, then one random bit flip per offspring at the mutation
+    rate; the offspring are scored in one batch after the last draw."""
     n = len(population)
     dim = population[0].size
     elite = min(range(n), key=lambda i: (fitness[i], i))
@@ -98,13 +106,13 @@ def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams
                 child[rng.index(dim)] ^= 1
             repair_mask(child, rng)
             new_pop.append(child)
-            new_fit.append(evaluate(child))
+    new_fit.extend(evaluate(new_pop[1:]))
     return new_pop, new_fit
 
 
 def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
     population = [_random_mask(dim, rng) for _ in range(params.population_size)]
-    fitness = [evaluate(x) for x in population]
+    fitness = evaluate(population)
     best = min(range(len(fitness)), key=lambda i: (fitness[i], i))
     best_mask, best_fit = population[best].copy(), fitness[best]
     trace = [TraceRow(0, best_fit, 0, 0, False)]
@@ -122,7 +130,8 @@ def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
               pbest: list[np.ndarray], pbest_fit: list[float],
               gbest: np.ndarray, gbest_fit: float,
               params: BpsoParams, evaluate, rng: RngStream):
-    """One synchronous swarm sweep: velocities first, then sigmoid resampling.
+    """One synchronous swarm sweep: velocities first, then sigmoid resampling,
+    then one batch evaluation and the personal- and global-best updates.
 
     Per particle and per dimension the draw order is the cognitive uniform,
     the social uniform, then one sampling uniform per dimension.
@@ -142,7 +151,7 @@ def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
         for d in range(dim):
             x[d] = 1 if rng.uniform() < sigmoid_transfer(v[d]) else 0
         repair_mask(x, rng)
-        fit = evaluate(x)
+    for i, (x, fit) in enumerate(zip(positions, evaluate(positions))):
         if fit < pbest_fit[i]:
             pbest_fit[i] = fit
             pbest[i] = x.copy()
@@ -157,7 +166,7 @@ def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOu
     positions = [_random_mask(dim, rng) for _ in range(params.population_size)]
     velocities = [np.zeros(dim) for _ in range(params.population_size)]
     pbest = [x.copy() for x in positions]
-    pbest_fit = [evaluate(x) for x in positions]
+    pbest_fit = evaluate(positions)
     gen_best = min(range(len(pbest_fit)), key=lambda i: (pbest_fit[i], i))
     gbest, gbest_fit = pbest[gen_best].copy(), pbest_fit[gen_best]
     trace = [TraceRow(0, gbest_fit, 0, 0, False)]

@@ -74,7 +74,7 @@ def run_single(algorithm: str, dataset: Dataset, algo_params,
     rng = RngStream(seed)
     split = stratified_split(dataset, fit_params.train_fraction, rng)
     evaluator = FitnessEvaluator(dataset, split, fit_params)
-    outcome = _search(algorithm, algo_params, dataset.n_features, evaluator, rng)
+    outcome = _search(algorithm, algo_params, dataset.n_features, evaluator.evaluate_all, rng)
     wall = time.perf_counter() - start
     return RunResult(
         algorithm=algorithm,

@@ -10,6 +10,8 @@ so that reloading a re-serialized file reproduces the same labels.
 from __future__ import annotations
 
 import csv
+import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +68,61 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
 
     Rows containing missing cells (empty, '?', 'NA', 'NaN') are an error, as
     are non-numeric feature cells; the error names the offending position and
-    counts how many rows were affected.
+    counts how many rows were affected. A file that cannot be opened or is
+    not UTF-8 text is a DataError naming the path.
+
+    The file is streamed: each row is parsed as it is read into one flat
+    float64 buffer, so no cell outlives its row as a Python string.
     """
     path = str(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f) if row]
-    if not rows:
+    try:
+        f = open(path, newline="", encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"{path}: cannot open file: {e.strerror or e}") from e
+    with f:
+        try:
+            features, label_tokens, header, label_idx = _read_rows(
+                csv.reader(f), path, label_column, has_header)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: file is not UTF-8 text ({e.reason})") from e
+
+    # dense label mapping, first-appearance order
+    mapping: dict[str, int] = {}
+    labels = [mapping.setdefault(tok, len(mapping)) for tok in label_tokens]
+
+    ds = Dataset(
+        name=name or path,
+        features=features,
+        labels=np.asarray(labels, dtype=np.int64),
+        feature_names=[h for i, h in enumerate(header) if i != label_idx] if header else None,
+    )
+    if ds.n_features < 1:
+        raise DataError(f"{path}: no feature columns found")
+    _validate_classes(ds.labels, path)
+    return ds
+
+
+def _read_rows(reader, path: str, label_column: int | str, has_header: bool):
+    """(features, label tokens, header, label index) from the non-empty rows.
+
+    Rows are numbered from 0 after the header. A ragged row or an
+    unparseable feature cell raises at once; missing cells are counted to
+    the end, so either of the first two wins over a missing cell in an
+    earlier row, and a row with a missing cell is not parsed.
+    """
+    rows = (row for row in reader if row)
+    first = next(rows, None)
+    if first is None:
         raise DataError(f"{path}: file is empty")
 
     header: list[str] | None = None
     if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
+        header = [c.strip() for c in first]
+        first = next(rows, None)
+        if first is None:
             raise DataError(f"{path}: no data rows after the header")
 
-    n_cols = len(rows[0])
+    n_cols = len(first)
     if isinstance(label_column, str):
         if header is None:
             raise ConfigError("label column given by name requires a header row")
@@ -92,55 +133,42 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
     else:
         label_idx = label_column % n_cols
 
-    missing: list[tuple[int, int]] = []
-    bad_rows: set[int] = set()
-    features: list[list[float]] = []
+    first_missing: tuple[int, int] | None = None
+    bad_rows = 0
+    values = array("d")
     label_tokens: list[str] = []
-    for r, row in enumerate(rows):
+    for r, row in enumerate(itertools.chain((first,), rows)):
         if len(row) != n_cols:
             raise DataError(f"{path}: row {r} has {len(row)} columns, expected {n_cols}")
-        for c, cell in enumerate(row):
-            if cell.strip().lower() in MISSING_TOKENS:
-                missing.append((r, c))
-                bad_rows.add(r)
-        if r in bad_rows:
+        if not MISSING_TOKENS.isdisjoint(map(str.lower, map(str.strip, row))):
+            bad_rows += 1
+            if first_missing is None:
+                first_missing = (r, next(c for c, cell in enumerate(row)
+                                         if cell.strip().lower() in MISSING_TOKENS))
             continue
-        vals = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                continue
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise DataError(f"{path}: unparseable cell at row {r}, column {c}: {cell!r}")
-        features.append(vals)
+        try:
+            values.extend(map(float, row[:label_idx] + row[label_idx + 1:]))
+        except ValueError:
+            c = next(c for c, cell in enumerate(row) if c != label_idx and not _parses(cell))
+            raise DataError(f"{path}: unparseable cell at row {r}, column {c}: {row[c]!r}")
         label_tokens.append(row[label_idx].strip())
 
-    if missing:
-        r, c = missing[0]
+    if first_missing is not None:
+        r, c = first_missing
         raise DataError(
-            f"{path}: {len(bad_rows)} row(s) contain missing values "
+            f"{path}: {bad_rows} row(s) contain missing values "
             f"(first at row {r}, column {c}); clean the file before loading"
         )
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(label_tokens), n_cols - 1)
+    return features, label_tokens, header, label_idx
 
-    # dense label mapping, first-appearance order
-    mapping: dict[str, int] = {}
-    labels = []
-    for tok in label_tokens:
-        if tok not in mapping:
-            mapping[tok] = len(mapping)
-        labels.append(mapping[tok])
 
-    ds = Dataset(
-        name=name or path,
-        features=np.asarray(features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-        feature_names=[h for i, h in enumerate(header) if i != label_idx] if header else None,
-    )
-    if ds.features.ndim != 2 or ds.n_features < 1:
-        raise DataError(f"{path}: no feature columns found")
-    _validate_classes(ds.labels, path)
-    return ds
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def save_csv(dataset: Dataset, path) -> None:

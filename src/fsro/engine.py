@@ -13,6 +13,11 @@ frogs), then the approach draw per frog, then capture draws per frog
 (partner index, success uniform), with a one-draw repair wherever a new
 solution comes out all-zero. No draws occur during evaluation or the share
 update.
+
+Evaluation is batched: `evaluate(masks) -> list[float]` scores a list of
+masks. A run calls it once for the initial population and once per
+iteration, on every agent, after all of that iteration's draws. Since it
+draws nothing, batching leaves the stream and the results unchanged.
 """
 
 from __future__ import annotations
@@ -316,6 +321,15 @@ def _pairing(group: list[Agent], rng: RngStream) -> dict[int, Agent]:
     return partner
 
 
+def _evaluate_agents(pop: PopulationState, evaluate) -> None:
+    """Score every agent in one batch, keeping the elitist best in agent order."""
+    for a, fit in zip(pop.agents, evaluate([a.solution for a in pop.agents])):
+        a.fitness = fit
+        if pop.global_best_fitness is None or a.fitness < pop.global_best_fitness:
+            pop.global_best_fitness = a.fitness
+            pop.global_best_mask = a.solution.copy()
+
+
 def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> PopulationState:
     """Advance the population by one full iteration."""
     for a in pop.agents:
@@ -373,12 +387,7 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
         ))
     pop.predation_plans = plans
 
-    # evaluate everyone, keep the elitist best
-    for a in pop.agents:
-        a.fitness = evaluate(a.solution)
-        if pop.global_best_fitness is None or a.fitness < pop.global_best_fitness:
-            pop.global_best_fitness = a.fitness
-            pop.global_best_mask = a.solution.copy()
+    _evaluate_agents(pop, evaluate)
 
     # replicator dynamics on this iteration's improvements
     frogs = pop.frogs()
@@ -398,11 +407,7 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
 def run_search(params: FsroParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
     """Full run: initialize, evaluate, iterate; trace has max_iterations+1 rows."""
     pop = initialize(params, dim, rng)
-    for a in pop.agents:
-        a.fitness = evaluate(a.solution)
-        if pop.global_best_fitness is None or a.fitness < pop.global_best_fitness:
-            pop.global_best_fitness = a.fitness
-            pop.global_best_mask = a.solution.copy()
+    _evaluate_agents(pop, evaluate)
     trace = [TraceRow(0, pop.global_best_fitness, len(pop.frogs()), len(pop.snakes()), False)]
     for _ in range(params.max_iterations):
         step(pop, params, evaluate, rng)

@@ -12,9 +12,12 @@ passes, which realizes exactly that (distance, index) lexicographic order.
 
 Distances have one definition. A plane is the (n_test, n_train) matrix of
 squared differences on one feature, computed by `_square_diff`; a mask's
-squared distances are its planes summed by `_accumulate` in feature-index
-order. Every caller goes through these two functions, so every route to a
-distance gives the same bits.
+squared distances are its planes summed in feature-index order. The one
+loop that sums them is `_accumulate`, which serves a chunk of masks at once:
+it walks the features in index order, fetches each plane once, and adds it
+into every chunk mask that selects that feature. Every caller goes through
+these two functions, so every route to a distance gives the same bits,
+whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -61,8 +64,11 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
 
 
 # Largest (n_features, n_test, n_train) float64 plane stack an evaluator
-# precomputes; past it, each mask computes its planes into a scratch buffer.
+# precomputes; past it, each plane is computed into a scratch buffer.
 STACK_BUDGET_BYTES = 200_000_000
+# Distance buffers an evaluator without a stack holds for one chunk of masks;
+# every plane it computes serves the whole chunk.
+BATCH_BYTES = 4_000_000
 
 
 def _square_diff(test: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -75,17 +81,30 @@ def _square_diff(test: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.nda
     return np.square(out, out=out)
 
 
-def _accumulate(out: np.ndarray, planes) -> np.ndarray:
-    """Sum a non-empty sequence of planes into out, in the order given.
+def _accumulate(accs: list[np.ndarray], masks: np.ndarray, plane) -> list[np.ndarray]:
+    """Sum each mask's planes into its accumulator, in feature-index order.
 
-    The first plane is copied instead of added to zeros. 0.0 + x == x
-    exactly, so the result is the same left-to-right sum either way.
+    masks is a (chunk, n_features) 0/1 matrix and accs holds at least chunk
+    buffers; plane(f) returns feature f's plane and is called once per
+    feature any mask selects, in increasing f, so it may reuse one buffer.
+    Each mask's first plane is copied instead of added to zeros. 0.0 + x == x
+    exactly, so every accumulator is the same left-to-right sum as a
+    zero-seeded one, for any chunk size. Returns the chunk's accumulators.
     """
-    planes = iter(planes)
-    np.copyto(out, next(planes))
-    for plane in planes:
-        out += plane
-    return out
+    accs = accs[:len(masks)]
+    started = [False] * len(accs)
+    current, buf = -1, None
+    # (feature, mask) pairs, ordered by feature, then by mask
+    features, owners = np.nonzero(masks.T)
+    for f, i in zip(features.tolist(), owners.tolist()):
+        if f != current:
+            current, buf = f, plane(f)
+        if started[i]:
+            np.add(accs[i], buf, out=accs[i])
+        else:
+            np.copyto(accs[i], buf)
+            started[i] = True
+    return accs
 
 
 def _nearest_indices(d2: np.ndarray, k: int) -> np.ndarray:
@@ -115,14 +134,14 @@ def _vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
 def knn_predict(train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray,
                 k: int, mask: np.ndarray) -> np.ndarray:
     """Predict class labels for each query row using masked Euclidean KNN."""
-    selected = np.flatnonzero(mask)
-    if selected.size == 0:
+    mask = np.asarray(mask)
+    if not mask.any():
         raise ValueError("mask selects no features; repair masks before evaluating")
     if k > train_x.shape[0]:
         raise ValueError(f"k={k} exceeds training-set size {train_x.shape[0]}")
     scratch = np.empty((queries.shape[0], train_x.shape[0]))
-    d2 = _accumulate(np.empty_like(scratch),
-                     (_square_diff(queries[:, f], train_x[:, f], scratch) for f in selected))
+    [d2] = _accumulate([np.empty_like(scratch)], mask[None, :],
+                       lambda f: _square_diff(queries[:, f], train_x[:, f], scratch))
     neighbors = _nearest_indices(d2, k)
     n_classes = int(train_y.max()) + 1
     return _vote(train_y[neighbors], n_classes)
@@ -153,18 +172,27 @@ class FitnessEvaluator:
     feature's values are one contiguous row. `test_x` and `train_x` are
     transposed views of those rows, not second copies.
 
-    Each uncached mask sums its selected planes into one reused distance
-    buffer, then takes k argmin passes and a vote. A plane comes from one of
-    two sources. While the full stack of planes fits in STACK_BUDGET_BYTES,
-    the stack is built once into a single C-contiguous array and a plane is
-    a slice of it. Past the budget, a plane is computed per mask into one
-    reused scratch buffer. Both sources compute every element with the same
-    subtract-then-square in `_square_diff`, and `_accumulate` adds the planes
-    in feature-index order, so both give the same bits.
+    `evaluate_all(masks)` is the optimizers' entry point: it scores a whole
+    generation. Duplicate and cached masks are dropped, and the rest go
+    through `_accumulate` in chunks, then take k argmin passes and a vote
+    each. A plane comes from one of two sources. While the full stack of
+    planes fits in STACK_BUDGET_BYTES, the stack is built once into a single
+    C-contiguous array and a plane is a slice of it; reading one costs
+    nothing, so the chunk is one mask. Past the budget, each plane is
+    computed into one reused scratch buffer once per chunk, and the chunk is
+    as many masks as BATCH_BYTES of distance buffers hold (at least one).
+    Both sources compute every element with the same subtract-then-square
+    in `_square_diff`, and each mask's planes are added in feature-index
+    order whatever the chunk, so the outputs carry the same bits as one mask
+    at a time.
 
-    The reused buffers make an evaluator belong to one run: it is not
-    reentrant and must not be shared between threads. The mask cache is a
-    plain dict owned by that run.
+    `__call__` scores one mask. Inside `evaluate_all` it is called once per
+    mask, and its first cache miss scores the whole pending batch, so
+    wrapping `__call__` observes every evaluation and its kernel time.
+
+    The reused buffers and the pending batch make an evaluator belong to one
+    run: it is not reentrant and must not be shared between threads. The
+    mask cache is a plain dict owned by that run.
     """
 
     def __init__(self, dataset: Dataset, split: Split, params: FitnessParams):
@@ -186,32 +214,58 @@ class FitnessEvaluator:
         self.n_features = dataset.n_features
         self.n_classes = dataset.n_classes
         plane_shape = (len(self.test_y), len(self.train_y))
-        self._d2 = np.empty(plane_shape)
-        if 8 * self.n_features * self._d2.size <= STACK_BUDGET_BYTES:
+        plane_bytes = 8 * plane_shape[0] * plane_shape[1]
+        if self.n_features * plane_bytes <= STACK_BUDGET_BYTES:
             self._stack = _square_diff(self._test_rows, self._train_rows,
                                        np.empty((self.n_features, *plane_shape)))
             self._scratch = None
+            chunk = 1
         else:
             self._stack = None
             self._scratch = np.empty(plane_shape)
+            chunk = max(1, BATCH_BYTES // plane_bytes)
+        # views held in a list: np.add on a view writes in place, where
+        # `buf[i] += plane` on the 3-D array would copy the plane back
+        self._accs = list(np.empty((chunk, *plane_shape)))
         self._cache: dict[bytes, tuple[float, float]] = {}
+        self._pending = []
 
-    def _planes(self, selected: np.ndarray):
-        """The selected features' planes, lazily and in index order.
-
-        Over the budget every plane is the same scratch buffer, rewritten on
-        each step, so a plane must be used before the next one is drawn.
-        """
+    def _plane(self, f: int) -> np.ndarray:
+        """Feature f's plane. Over the budget it is the one scratch buffer,
+        rewritten on each call, so it must be used before the next call."""
         if self._stack is not None:
-            return (self._stack[f] for f in selected)
-        return (_square_diff(self._test_rows[f], self._train_rows[f], self._scratch)
-                for f in selected)
+            return self._stack[f]
+        return _square_diff(self._test_rows[f], self._train_rows[f], self._scratch)
 
-    def _error(self, mask: np.ndarray) -> float:
-        d2 = _accumulate(self._d2, self._planes(np.flatnonzero(mask)))
-        neighbors = _nearest_indices(d2, self.params.k_neighbors)
-        pred = _vote(self.train_y[neighbors], self.n_classes)
-        return float(np.mean(pred != self.test_y))
+    def _score(self, masks) -> None:
+        """Cache (error, fitness) for every distinct uncached mask, chunk by chunk."""
+        todo: dict[bytes, np.ndarray] = {}
+        for mask in masks:
+            key = mask_key(mask)
+            if key not in self._cache and key not in todo:
+                if not mask.any():
+                    raise ValueError("all-zero mask reached the evaluator; "
+                                     "repair is missing upstream")
+                todo[key] = mask
+        keys = list(todo)
+        step = len(self._accs)
+        for start in range(0, len(keys), step):
+            chunk = keys[start:start + step]
+            matrix = np.array([todo[key] for key in chunk])
+            for key, mask, d2 in zip(chunk, matrix, _accumulate(self._accs, matrix, self._plane)):
+                neighbors = _nearest_indices(d2, self.params.k_neighbors)
+                pred = _vote(self.train_y[neighbors], self.n_classes)
+                err = float(np.mean(pred != self.test_y))
+                fit = fitness_value(err, int(mask.sum()), self.n_features, self.params.alpha)
+                self._cache[key] = (err, fit)
+
+    def evaluate_all(self, masks) -> list[float]:
+        """Fitness of each mask, in order; the batch form optimizers call."""
+        self._pending = masks
+        try:
+            return [self(mask) for mask in masks]
+        finally:
+            self._pending = []
 
     def evaluate(self, mask: np.ndarray) -> float:
         return self.error_and_fitness(mask)[1]
@@ -221,16 +275,10 @@ class FitnessEvaluator:
     def error_and_fitness(self, mask: np.ndarray) -> tuple[float, float]:
         key = mask_key(mask)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        selected_count = int(mask.sum())
-        if selected_count == 0:
-            raise ValueError("all-zero mask reached the evaluator; repair is missing upstream")
-        err = self._error(mask)
-        fit = fitness_value(err, selected_count, self.n_features, self.params.alpha)
-        result = (err, fit)
-        self._cache[key] = result
-        return result
+        if hit is None:
+            self._score([mask, *self._pending])
+            hit = self._cache[key]
+        return hit
 
     def accuracy(self, mask: np.ndarray) -> float:
         return 1.0 - self.error_and_fitness(mask)[0]

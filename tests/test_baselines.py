@@ -15,8 +15,13 @@ from fsro.core import ConfigError, new_mask
 from fsro.rng import RngStream
 
 
-def count_ones_fitness(mask):
+def count_ones(mask):
     return float(mask.sum()) / mask.size
+
+
+def count_ones_fitness(masks):
+    """count_ones in the optimizers' batch form."""
+    return [count_ones(m) for m in masks]
 
 
 def random_population(n, d, rng):
@@ -48,7 +53,7 @@ def test_sigmoid_values():
 def test_ga_no_operators_copies_selected_parents():
     params = GaParams(crossover_rate=0.0, mutation_rate=0.0, population_size=10)
     population = random_population(10, 8, 3)
-    fitness = [count_ones_fitness(x) for x in population]
+    fitness = [count_ones(x) for x in population]
     new_pop, new_fit = ga_step(population, fitness, params, count_ones_fitness, RngStream(5))
     assert len(new_pop) == 10
     originals = {x.tobytes() for x in population}
@@ -62,7 +67,7 @@ def test_ga_mutation_flips_exactly_one_bit():
     # masks with >= 2 set bits cannot be zeroed by a single flip, so no repair
     params = GaParams(crossover_rate=0.0, mutation_rate=1.0, population_size=10)
     population = random_population(10, 8, 4)
-    fitness = [count_ones_fitness(x) for x in population]
+    fitness = [count_ones(x) for x in population]
     new_pop, _ = ga_step(population, fitness, params, count_ones_fitness, RngStream(6))
     originals = list(population)
     for child in new_pop[1:]:
@@ -89,7 +94,7 @@ def test_ga_replay_identical(small_m_of_n):
     for _ in range(2):
         evaluator, rng = make_evaluator(small_m_of_n, seed=23)
         runs.append(ga_run(GaParams(population_size=10, max_iterations=10),
-                           small_m_of_n.n_features, evaluator, rng))
+                           small_m_of_n.n_features, evaluator.evaluate_all, rng))
     assert runs[0].best_mask.tobytes() == runs[1].best_mask.tobytes()
     assert runs[0].trace == runs[1].trace
 
@@ -104,7 +109,7 @@ def test_bpso_stationary_particle_resamples_at_half():
     pbest_fit = [1.0]
     gbest, gbest_fit = x.copy(), 1.0
     bpso_step(positions, velocities, pbest, pbest_fit, gbest, gbest_fit,
-              params, lambda m: 1.0, RngStream(12))
+              params, lambda masks: [1.0] * len(masks), RngStream(12))
     # x = pbest = gbest and v = 0 keeps v at 0: each bit resampled at 0.5
     assert np.all(velocities[0] == 0.0)
     assert abs(positions[0].mean() - 0.5) < 0.05
@@ -119,7 +124,7 @@ def test_bpso_clamped_velocity_saturates_bits():
     pbest = [x.copy()]
     pbest_fit = [1.0]
     bpso_step(positions, velocities, pbest, pbest_fit, x.copy(), 1.0,
-              params, lambda m: 1.0, RngStream(13))
+              params, lambda masks: [1.0] * len(masks), RngStream(13))
     # w=1 with zero attraction keeps v at +clamp; ones fraction ~ sigmoid(6)
     assert np.all(velocities[0] == 6.0)
     assert abs(positions[0].mean() - 0.997527) < 0.005
@@ -128,7 +133,7 @@ def test_bpso_clamped_velocity_saturates_bits():
 def test_bpso_gbest_non_increasing(small_m_of_n):
     evaluator, rng = make_evaluator(small_m_of_n, seed=29)
     outcome = bpso_run(BpsoParams(population_size=10, max_iterations=25),
-                       small_m_of_n.n_features, evaluator, rng)
+                       small_m_of_n.n_features, evaluator.evaluate_all, rng)
     fits = [row.best_fitness for row in outcome.trace]
     assert all(a >= b for a, b in zip(fits, fits[1:]))
 
@@ -142,9 +147,9 @@ def test_bpso_finds_single_bit_optimum():
 def test_bpso_masks_always_repaired():
     seen = []
 
-    def spy(mask):
-        seen.append(int(mask.sum()))
-        return count_ones_fitness(mask)
+    def spy(masks):
+        seen.extend(int(m.sum()) for m in masks)
+        return count_ones_fitness(masks)
 
     bpso_run(BpsoParams(population_size=6, max_iterations=20), 3, spy, RngStream(15))
     assert min(seen) >= 1

@@ -134,3 +134,109 @@ def test_m_of_n_relevant_mask_is_consistent():
 def test_m_of_n_invalid_m():
     with pytest.raises(ConfigError):
         generate_m_of_n(3, 4, 2, 100, RngStream(0))
+
+
+# load_csv behaviour, pinned: messages, 0-based data-row and column numbers,
+# and which error wins when several apply.
+
+def test_empty_file_rejected(tmp_path):
+    for text in ("", "\n\n"):
+        p = write(tmp_path, text)
+        with pytest.raises(DataError, match=r"file is empty"):
+            load_csv(p)
+        with pytest.raises(DataError, match=r"file is empty"):
+            load_csv(p, has_header=False)
+
+
+def test_header_only_file_rejected(tmp_path):
+    p = write(tmp_path, "a,b,label\n\n")
+    with pytest.raises(DataError, match=r"no data rows after the header"):
+        load_csv(p)
+
+
+def test_ragged_row_names_row_and_widths(tmp_path):
+    p = write(tmp_path, "a,b,label\n1,2,x\n3,4,y\n5,6\n7,8,y\n")
+    with pytest.raises(DataError, match=r"row 2 has 2 columns, expected 3"):
+        load_csv(p)
+
+
+def test_label_name_needs_a_header(tmp_path):
+    p = write(tmp_path, "1,2,0\n3,4,1\n")
+    with pytest.raises(ConfigError, match=r"requires a header row"):
+        load_csv(p, label_column="y", has_header=False)
+
+
+def test_label_name_not_in_header(tmp_path):
+    p = write(tmp_path, "a,b,label\n1,2,x\n3,4,y\n")
+    with pytest.raises(ConfigError, match=r"label column 'y' not in header"):
+        load_csv(p, label_column="y")
+
+
+def test_missing_label_token_is_a_missing_value(tmp_path):
+    p = write(tmp_path, "a,b,label\n1,2,x\n3,4,NA\n5,6,y\n")
+    with pytest.raises(DataError, match=r"1 row\(s\) contain missing values "
+                                        r"\(first at row 1, column 2\)"):
+        load_csv(p)
+
+
+def test_missing_values_counted_across_rows(tmp_path):
+    # blank lines are skipped and not numbered; two missing cells in one row
+    # count that row once
+    p = write(tmp_path, "a,b,label\n1,2,x\n\n3,,y\n ? ,n/a,x\n5,6,y\n7,NaN,x\n")
+    with pytest.raises(DataError, match=r"3 row\(s\) contain missing values "
+                                        r"\(first at row 1, column 1\)"):
+        load_csv(p)
+
+
+def test_unparseable_later_row_wins_over_earlier_missing(tmp_path):
+    p = write(tmp_path, "a,b,label\n1,?,x\n3,4,y\n5,oops,x\n")
+    with pytest.raises(DataError, match=r"unparseable cell at row 2, column 1: 'oops'"):
+        load_csv(p)
+
+
+def test_ragged_later_row_wins_over_earlier_missing(tmp_path):
+    p = write(tmp_path, "a,b,label\n1,?,x\n3,4,y\n5\n")
+    with pytest.raises(DataError, match=r"row 2 has 1 columns, expected 3"):
+        load_csv(p)
+
+
+def test_missing_wins_over_unparseable_in_the_same_row(tmp_path):
+    p = write(tmp_path, "a,b,label\n1,2,x\nzap,?,y\n3,4,y\n")
+    with pytest.raises(DataError, match=r"first at row 1, column 1"):
+        load_csv(p)
+
+
+def test_label_only_file_has_no_features(tmp_path):
+    p = write(tmp_path, "label\nx\ny\nx\ny\n")
+    with pytest.raises(DataError, match=r"no feature columns found"):
+        load_csv(p)
+
+
+def test_cells_parse_as_python_floats(tmp_path):
+    p = write(tmp_path, "a,b,label\n 1.5 ,-2e3,x\ninf,1_0,y\n3,4,x\n5,6,y\n")
+    ds = load_csv(p)
+    assert ds.features.dtype == np.float64
+    assert ds.features.flags.c_contiguous
+    assert ds.features.tolist() == [[1.5, -2000.0], [float("inf"), 10.0],
+                                    [3.0, 4.0], [5.0, 6.0]]
+
+
+def test_label_column_in_the_middle(tmp_path):
+    p = write(tmp_path, "a,y,b\n1,M,2\n3,B,4\n5,M,6\n7,B,8\n")
+    ds = load_csv(p, label_column=1)
+    assert ds.features.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+    assert list(ds.labels) == [0, 1, 0, 1]
+    assert ds.feature_names == ["a", "b"]
+
+
+def test_missing_file_is_a_data_error_naming_the_path(tmp_path):
+    p = tmp_path / "absent.csv"
+    with pytest.raises(DataError, match=r"absent\.csv: cannot open file"):
+        load_csv(p)
+
+
+def test_non_utf8_file_is_a_data_error_naming_the_path(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("a,b,label\n1,2,café\n3,4,x\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin1\.csv: file is not UTF-8 text"):
+        load_csv(p)

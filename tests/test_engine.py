@@ -407,9 +407,14 @@ def test_ess_covers_single_member_group():
 
 # --- step / run -------------------------------------------------------------
 
-def count_ones_fitness(mask):
+def count_ones(mask):
     # minimized at a single selected bit
     return float(mask.sum()) / mask.size
+
+
+def count_ones_fitness(masks):
+    """count_ones in the optimizers' batch form."""
+    return [count_ones(m) for m in masks]
 
 
 def test_step_preserves_population_and_improves_best(small_m_of_n):
@@ -423,7 +428,7 @@ def test_step_preserves_population_and_improves_best(small_m_of_n):
             pop.global_best_mask = a.solution.copy()
     for _ in range(10):
         before = pop.global_best_fitness
-        step(pop, params, evaluator, rng)
+        step(pop, params, evaluator.evaluate_all, rng)
         assert len(pop.agents) == 8
         assert len(pop.frogs()) >= 1
         assert len(pop.snakes()) >= 1
@@ -436,7 +441,7 @@ def test_step_deterministic_from_same_state():
     params = FsroParams(population_size=8, max_iterations=1)
     pop_a = initialize(params, 6, RngStream(21))
     for a in pop_a.agents:
-        a.fitness = count_ones_fitness(a.solution)
+        a.fitness = count_ones(a.solution)
     pop_a.global_best_fitness = min(a.fitness for a in pop_a.agents)
     pop_a.global_best_mask = pop_a.agents[0].solution.copy()
     pop_b = copy.deepcopy(pop_a)
@@ -455,7 +460,7 @@ def test_run_zero_iterations_returns_initial_best():
     outcome = run_search(params, 6, count_ones_fitness, RngStream(31))
     assert len(outcome.trace) == 1
     pop = initialize(params, 6, RngStream(31))
-    assert outcome.best_fitness == min(count_ones_fitness(a.solution) for a in pop.agents)
+    assert outcome.best_fitness == min(count_ones(a.solution) for a in pop.agents)
 
 
 def test_run_trace_contract():
@@ -473,7 +478,7 @@ def test_run_replay_is_byte_identical(small_m_of_n):
     runs = []
     for _ in range(2):
         evaluator, rng = make_evaluator(small_m_of_n, seed=17)
-        runs.append(run_search(params, small_m_of_n.n_features, evaluator, rng))
+        runs.append(run_search(params, small_m_of_n.n_features, evaluator.evaluate_all, rng))
     a, b = runs
     assert a.best_mask.tobytes() == b.best_mask.tobytes()
     assert a.best_fitness == b.best_fitness

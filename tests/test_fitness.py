@@ -6,6 +6,7 @@ from fsro import FitnessParams, RngStream, fitness, generate_m_of_n
 from fsro.core import ConfigError, new_mask
 from fsro.data import Dataset
 from fsro.fitness import (
+    FitnessEvaluator,
     error_rate,
     fitness_value,
     knn_classify,
@@ -197,27 +198,127 @@ def _random_masks(n_features, count, seed):
     return masks
 
 
+# plane source and chunk size: (stack budget, batch bytes in planes, chunk)
+KERNEL_CONFIGS = {
+    "stack": (None, None, 1),  # stack slices; a stack always means a chunk of 1
+    "scratch_chunk1": (0, 0, 1),  # scratch buffer, one mask per chunk
+    "scratch_chunk3": (0, 3, 3),  # full chunks and a short last one
+    "scratch_default": (0, None, None),  # BATCH_BYTES holds every mask in one chunk
+}
+
+
+def _kernel_evaluator(dataset, config, monkeypatch, seed=4):
+    budget, planes, chunk = KERNEL_CONFIGS[config]
+    plane_bytes = make_evaluator(dataset, seed)[0]._accs[0].nbytes
+    with monkeypatch.context() as m:
+        if budget is not None:
+            m.setattr(fitness, "STACK_BUDGET_BYTES", budget)
+        if planes is not None:
+            m.setattr(fitness, "BATCH_BYTES", planes * plane_bytes)
+        evaluator, _ = make_evaluator(dataset, seed)
+    assert (evaluator._stack is None) == (budget is not None)
+    if chunk is None:
+        assert len(evaluator._accs) >= 40
+    else:
+        assert len(evaluator._accs) == chunk
+    return evaluator
+
+
+def _zero_seeded_distances(evaluator, mask):
+    """Reference: zeros plus each squared-difference plane, in feature order."""
+    test_x, train_x = evaluator.test_x, evaluator.train_x
+    want = np.zeros((len(test_x), len(train_x)))
+    for f in np.flatnonzero(mask):
+        want = want + (test_x[:, f, None] - train_x[None, :, f]) ** 2
+    return want
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
 def test_stack_and_over_budget_paths_are_bit_identical(kind, monkeypatch):
     dataset = KERNEL_DATASETS[kind]()
-    stacked, _ = make_evaluator(dataset, seed=4)
-    monkeypatch.setattr(fitness, "STACK_BUDGET_BYTES", 0)
-    scratch, _ = make_evaluator(dataset, seed=4)
-    assert stacked._stack is not None and scratch._stack is None
-    test_x, train_x = stacked.test_x, stacked.train_x
-    for mask in _random_masks(dataset.n_features, 40, seed=11):
-        selected = np.flatnonzero(mask)
-        # reference: zeros plus each squared-difference plane, in feature order
-        want = np.zeros((len(test_x), len(train_x)))
-        for f in selected:
-            want = want + (test_x[:, f, None] - train_x[None, :, f]) ** 2
-        for evaluator in (stacked, scratch):
-            got = fitness._accumulate(np.empty_like(want), evaluator._planes(selected))
-            assert np.array_equal(got, want)
-        result = stacked.error_and_fitness(mask)
-        assert scratch.error_and_fitness(mask) == result
-        assert result[0] == error_rate(train_x, stacked.train_y, test_x, stacked.test_y,
-                                       stacked.params.k_neighbors, mask)
+    masks = _random_masks(dataset.n_features, 40, seed=11)
+    distinct = list({m.tobytes(): m for m in masks}.values())
+    stacked = _kernel_evaluator(dataset, "stack", monkeypatch)
+    want = [_zero_seeded_distances(stacked, m) for m in distinct]
+    results = [stacked.error_and_fitness(m) for m in masks]
+    for mask, result in zip(masks, results):
+        assert result[0] == error_rate(stacked.train_x, stacked.train_y, stacked.test_x,
+                                       stacked.test_y, stacked.params.k_neighbors, mask)
+    real_nearest = fitness._nearest_indices
+    for config in KERNEL_CONFIGS:
+        evaluator = _kernel_evaluator(dataset, config, monkeypatch)
+        seen = []
+
+        def spy(d2, k):  # the batch accumulator, copied before top-k consumes it
+            seen.append(d2.copy())
+            return real_nearest(d2, k)
+
+        with monkeypatch.context() as m:
+            m.setattr(fitness, "_nearest_indices", spy)
+            assert evaluator.evaluate_all(masks) == [fit for _, fit in results]
+        assert len(seen) == len(distinct)
+        for got, ref in zip(seen, want):
+            assert np.array_equal(got, ref)
+        assert [evaluator.error_and_fitness(m) for m in masks] == results
+
+
+@pytest.mark.parametrize("config", sorted(KERNEL_CONFIGS))
+@pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
+def test_evaluate_all_matches_per_mask_evaluation(kind, config, monkeypatch):
+    dataset = KERNEL_DATASETS[kind]()
+    masks = _random_masks(dataset.n_features, 30, seed=12)
+    reference, _ = make_evaluator(dataset, seed=4)
+    want = [reference.error_and_fitness(m) for m in masks]
+    evaluator = _kernel_evaluator(dataset, config, monkeypatch)
+    for mask in masks[::4]:  # cached before the batch arrives
+        evaluator(mask)
+    # duplicates inside the batch, as copies and as the same object
+    batch = masks + [m.copy() for m in masks[::3]] + masks[:5]
+    got = evaluator.evaluate_all(batch)
+    assert got == [fit for _, fit in want] + [want[i][1] for i in range(0, 30, 3)] + \
+        [fit for _, fit in want[:5]]
+    assert [evaluator.error_and_fitness(m) for m in masks] == want
+    assert len(evaluator._cache) == len({m.tobytes() for m in masks})
+
+
+@pytest.mark.parametrize("config", sorted(KERNEL_CONFIGS))
+def test_evaluate_all_rejects_zero_mask(small_m_of_n, config, monkeypatch):
+    evaluator = _kernel_evaluator(small_m_of_n, config, monkeypatch)
+    zero = np.zeros(small_m_of_n.n_features, dtype=np.uint8)
+    ok = new_mask([1, 0, 1, 1])
+    with pytest.raises(ValueError, match="all-zero mask"):
+        evaluator.evaluate_all([ok, zero])
+    with pytest.raises(ValueError, match="all-zero mask"):
+        evaluator.evaluate_all([zero])
+    # the failed batch leaves nothing pending: a later call scores normally
+    assert evaluator.evaluate_all([ok]) == [evaluator.evaluate(ok)]
+
+
+def test_kernel_runs_inside_the_first_missing_call(small_m_of_n, monkeypatch):
+    """Wrapping __call__ sees one call per mask and all of the kernel's work."""
+    evaluator, _ = make_evaluator(small_m_of_n, seed=2)
+    calls, inside, scored = [], [], []
+    call, score = FitnessEvaluator.__call__, FitnessEvaluator._score
+
+    def counted_call(self, mask):
+        calls.append(mask)
+        inside.append(True)
+        try:
+            return call(self, mask)
+        finally:
+            inside.pop()
+
+    def watched_score(self, masks):
+        scored.append(bool(inside))
+        return score(self, masks)
+
+    monkeypatch.setattr(FitnessEvaluator, "__call__", counted_call)
+    monkeypatch.setattr(FitnessEvaluator, "_score", watched_score)
+    masks = _random_masks(small_m_of_n.n_features, 12, seed=3)
+    evaluator.evaluate_all(masks)
+    evaluator.evaluate_all(masks[:6] + _random_masks(small_m_of_n.n_features, 6, seed=4))
+    assert len(calls) == 24
+    assert scored == [True, True]
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
