@@ -13,11 +13,13 @@ passes, which realizes exactly that (distance, index) lexicographic order.
 Distances have one definition. A plane is the (n_test, n_train) matrix of
 squared differences on one feature, computed by `_square_diff`; a mask's
 squared distances are its planes summed in feature-index order. The one
-loop that sums them is `_accumulate`, which serves a chunk of masks at once:
-it walks the features in index order, fetches each plane once, and adds it
-into every chunk mask that selects that feature. Every caller goes through
-these two functions, so every route to a distance gives the same bits,
-whatever the chunk size.
+loop that sums them is `_accumulate`, which serves many masks at once: it
+walks the features in index order, squares each selected feature once into
+one scratch tile, and adds that tile into every mask that selects the
+feature. The evaluator feeds it a block of test rows at a time, so a tile
+is a few rows of a plane. Every element is the same subtract-then-square
+and every mask keeps its feature order, so every route to a distance gives
+the same bits, whatever the block size or the number of masks.
 """
 
 from __future__ import annotations
@@ -63,48 +65,42 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
     return out
 
 
-# Largest (n_features, n_test, n_train) float64 plane stack an evaluator
-# precomputes; past it, each plane is computed into a scratch buffer.
-STACK_BUDGET_BYTES = 200_000_000
-# Distance buffers an evaluator without a stack holds for one chunk of masks;
-# every plane it computes serves the whole chunk.
-BATCH_BYTES = 4_000_000
+# Largest set of per-mask distance accumulators, (masks, rows, n_train)
+# float64, that one block of test rows may use; about one core's L2 cache.
+BLOCK_BYTES = 2_000_000
 
 
 def _square_diff(test: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[..., i, j] = (test[..., i] - train[..., j]) ** 2, written in place.
-
-    Given one feature's test and train values this is one plane; given
-    (n_features, n) row arrays it is the whole stack of planes.
-    """
-    np.subtract(test[..., :, None], train[..., None, :], out=out)
+    """out[i, j] = (test[i] - train[j]) ** 2, written in place: one feature's plane."""
+    np.subtract(test[:, None], train[None, :], out=out)
     return np.square(out, out=out)
 
 
-def _accumulate(accs: list[np.ndarray], masks: np.ndarray, plane) -> list[np.ndarray]:
+def _accumulate(accs, masks: np.ndarray, test_rows: np.ndarray,
+                train_rows: np.ndarray, scratch: np.ndarray) -> None:
     """Sum each mask's planes into its accumulator, in feature-index order.
 
-    masks is a (chunk, n_features) 0/1 matrix and accs holds at least chunk
-    buffers; plane(f) returns feature f's plane and is called once per
-    feature any mask selects, in increasing f, so it may reuse one buffer.
-    Each mask's first plane is copied instead of added to zeros. 0.0 + x == x
-    exactly, so every accumulator is the same left-to-right sum as a
-    zero-seeded one, for any chunk size. Returns the chunk's accumulators.
+    masks is an (n, n_features) 0/1 matrix and accs holds its n buffers;
+    test_rows and train_rows are feature-major, (n_features, rows) and
+    (n_features, n_train). Each feature any mask selects is squared into
+    scratch once, in increasing feature order, then added into every mask
+    that selects it. Each mask's first plane is copied instead of added to
+    zeros. 0.0 + x == x exactly, so every accumulator is the same
+    left-to-right sum as a zero-seeded one, for any number of masks.
     """
-    accs = accs[:len(masks)]
-    started = [False] * len(accs)
-    current, buf = -1, None
+    started = [False] * len(masks)
+    current = -1
     # (feature, mask) pairs, ordered by feature, then by mask
     features, owners = np.nonzero(masks.T)
     for f, i in zip(features.tolist(), owners.tolist()):
         if f != current:
-            current, buf = f, plane(f)
+            current = f
+            _square_diff(test_rows[f], train_rows[f], scratch)
         if started[i]:
-            np.add(accs[i], buf, out=accs[i])
+            np.add(accs[i], scratch, out=accs[i])
         else:
-            np.copyto(accs[i], buf)
+            np.copyto(accs[i], scratch)
             started[i] = True
-    return accs
 
 
 def _nearest_indices(d2: np.ndarray, k: int) -> np.ndarray:
@@ -140,8 +136,8 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray,
     if k > train_x.shape[0]:
         raise ValueError(f"k={k} exceeds training-set size {train_x.shape[0]}")
     scratch = np.empty((queries.shape[0], train_x.shape[0]))
-    [d2] = _accumulate([np.empty_like(scratch)], mask[None, :],
-                       lambda f: _square_diff(queries[:, f], train_x[:, f], scratch))
+    d2 = np.empty_like(scratch)
+    _accumulate([d2], mask[None, :], queries.T, train_x.T, scratch)
     neighbors = _nearest_indices(d2, k)
     n_classes = int(train_y.max()) + 1
     return _vote(train_y[neighbors], n_classes)
@@ -173,26 +169,27 @@ class FitnessEvaluator:
     transposed views of those rows, not second copies.
 
     `evaluate_all(masks)` is the optimizers' entry point: it scores a whole
-    generation. Duplicate and cached masks are dropped, and the rest go
-    through `_accumulate` in chunks, then take k argmin passes and a vote
-    each. A plane comes from one of two sources. While the full stack of
-    planes fits in STACK_BUDGET_BYTES, the stack is built once into a single
-    C-contiguous array and a plane is a slice of it; reading one costs
-    nothing, so the chunk is one mask. Past the budget, each plane is
-    computed into one reused scratch buffer once per chunk, and the chunk is
-    as many masks as BATCH_BYTES of distance buffers hold (at least one).
-    Both sources compute every element with the same subtract-then-square
-    in `_square_diff`, and each mask's planes are added in feature-index
-    order whatever the chunk, so the outputs carry the same bits as one mask
-    at a time.
+    generation. Duplicate and cached masks are dropped, and the rest are
+    scored together, one block of test rows at a time. A block has as many
+    rows as keep the accumulators of every mask in the batch within
+    BLOCK_BYTES (at least one row). For each block, `_accumulate` squares
+    each selected feature's tile once and adds it into every mask that
+    selects it, then the k argmin passes and the vote run once over all of
+    the block's (mask, test row) pairs and wrong predictions are counted
+    per mask. Tiles are computed from the normalized rows alone: there is
+    no precomputed distance stack and no distance buffer survives a batch.
+    Every element is the same subtract-then-square in `_square_diff`, each
+    mask's planes are added in feature-index order, and top-k and the vote
+    are row-wise, so the outputs carry the same bits as one mask at a time
+    over the whole split.
 
     `__call__` scores one mask. Inside `evaluate_all` it is called once per
     mask, and its first cache miss scores the whole pending batch, so
     wrapping `__call__` observes every evaluation and its kernel time.
 
-    The reused buffers and the pending batch make an evaluator belong to one
-    run: it is not reentrant and must not be shared between threads. The
-    mask cache is a plain dict owned by that run.
+    The pending batch makes an evaluator belong to one run: it is not
+    reentrant and must not be shared between threads. The mask cache is a
+    plain dict owned by that run.
     """
 
     def __init__(self, dataset: Dataset, split: Split, params: FitnessParams):
@@ -213,32 +210,11 @@ class FitnessEvaluator:
             )
         self.n_features = dataset.n_features
         self.n_classes = dataset.n_classes
-        plane_shape = (len(self.test_y), len(self.train_y))
-        plane_bytes = 8 * plane_shape[0] * plane_shape[1]
-        if self.n_features * plane_bytes <= STACK_BUDGET_BYTES:
-            self._stack = _square_diff(self._test_rows, self._train_rows,
-                                       np.empty((self.n_features, *plane_shape)))
-            self._scratch = None
-            chunk = 1
-        else:
-            self._stack = None
-            self._scratch = np.empty(plane_shape)
-            chunk = max(1, BATCH_BYTES // plane_bytes)
-        # views held in a list: np.add on a view writes in place, where
-        # `buf[i] += plane` on the 3-D array would copy the plane back
-        self._accs = list(np.empty((chunk, *plane_shape)))
         self._cache: dict[bytes, tuple[float, float]] = {}
         self._pending = []
 
-    def _plane(self, f: int) -> np.ndarray:
-        """Feature f's plane. Over the budget it is the one scratch buffer,
-        rewritten on each call, so it must be used before the next call."""
-        if self._stack is not None:
-            return self._stack[f]
-        return _square_diff(self._test_rows[f], self._train_rows[f], self._scratch)
-
     def _score(self, masks) -> None:
-        """Cache (error, fitness) for every distinct uncached mask, chunk by chunk."""
+        """Cache (error, fitness) for every distinct uncached mask, block by block."""
         todo: dict[bytes, np.ndarray] = {}
         for mask in masks:
             key = mask_key(mask)
@@ -247,17 +223,29 @@ class FitnessEvaluator:
                     raise ValueError("all-zero mask reached the evaluator; "
                                      "repair is missing upstream")
                 todo[key] = mask
-        keys = list(todo)
-        step = len(self._accs)
-        for start in range(0, len(keys), step):
-            chunk = keys[start:start + step]
-            matrix = np.array([todo[key] for key in chunk])
-            for key, mask, d2 in zip(chunk, matrix, _accumulate(self._accs, matrix, self._plane)):
-                neighbors = _nearest_indices(d2, self.params.k_neighbors)
-                pred = _vote(self.train_y[neighbors], self.n_classes)
-                err = float(np.mean(pred != self.test_y))
-                fit = fitness_value(err, int(mask.sum()), self.n_features, self.params.alpha)
-                self._cache[key] = (err, fit)
+        if not todo:
+            return
+        matrix = np.array(list(todo.values()))
+        n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
+        rows = max(1, min(n_test, BLOCK_BYTES // (8 * n_train * n)))
+        buf, scratch = np.empty(n * rows * n_train), np.empty((rows, n_train))
+        wrong = np.zeros(n, dtype=np.int64)
+        for lo in range(0, n_test, rows):
+            hi = min(lo + rows, n_test)
+            # a fresh contiguous (n, hi - lo, n_train) view, so the short
+            # last block still flattens to (mask, row) pairs without a copy
+            block = buf[:n * (hi - lo) * n_train].reshape(n, hi - lo, n_train)
+            # views held in a list: np.add on a view writes in place, where
+            # `block[i] += tile` would copy the tile back
+            _accumulate(list(block), matrix, self._test_rows[:, lo:hi],
+                        self._train_rows, scratch[:hi - lo])
+            neighbors = _nearest_indices(block.reshape(-1, n_train), self.params.k_neighbors)
+            pred = _vote(self.train_y[neighbors], self.n_classes).reshape(n, hi - lo)
+            wrong += np.count_nonzero(pred != self.test_y[lo:hi], axis=1)
+        for key, mask, w in zip(todo, matrix, wrong.tolist()):
+            err = w / n_test
+            self._cache[key] = (err, fitness_value(err, int(mask.sum()), self.n_features,
+                                                   self.params.alpha))
 
     def evaluate_all(self, masks) -> list[float]:
         """Fitness of each mask, in order; the batch form optimizers call."""

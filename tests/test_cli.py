@@ -1,6 +1,15 @@
-"""`fsro` command-line error paths: a bad input is `error: ...` and exit 2."""
+"""`fsro` command line: error paths (`error: ...` and exit 2), config-file
+precedence, and the `compare` and `gen` commands."""
 
+import csv
+
+import numpy as np
+
+from fsro import RngStream, generate_m_of_n
 from fsro.cli import main
+from fsro.data import load_csv
+
+TINY = ["--synthetic", "m-of-n:2,1,2,40", "--seed", "3", "--pop-size", "4"]
 
 
 def _run(argv, capsys):
@@ -26,3 +35,47 @@ def test_non_utf8_dataset_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and str(data) in err
     assert "UTF-8" in err
     assert not (tmp_path / "out").exists()
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+def test_config_file_values_apply_and_explicit_flags_win(tmp_path):
+    config = tmp_path / "fsro.cfg"
+    config.write_text("# comment\nruns = 2\niterations = 3\nalgorithm = ga\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", *TINY, "--config", str(config), "--iterations", "1", "--out", str(out)]
+    assert main(argv) == 0
+    runs = _rows(out / "runs.csv")
+    assert len(runs) == 1 + 2  # runs from the file
+    assert {row[0] for row in runs[1:]} == {"ga"}  # algorithm from the file
+    trace = _rows(out / "trace_3.csv")
+    assert len(trace) == 1 + 2  # --iterations 1 beats the file's 3: rows 0 and 1
+
+
+def test_compare_exits_0_and_writes_its_files(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    argv = ["compare", *TINY, "--runs", "3", "--iterations", "2",
+            "--algorithms", "fsro", "ga", "--out", str(out)]
+    assert main(argv) == 0
+    assert "fsro vs ga" in capsys.readouterr().out
+    paired = _rows(out / "paired.csv")
+    assert paired[0] == ["seed", "fitness_fsro", "fitness_ga"]
+    assert [row[0] for row in paired[1:]] == ["3", "4", "5"]
+    comparison = _rows(out / "comparison.csv")
+    assert comparison[0] == ["algorithm_a", "algorithm_b", "dataset", "runs",
+                             "p_value", "decision"]
+    assert comparison[1][:2] == ["fsro", "ga"] and comparison[1][3] == "3"
+    assert 0.0 <= float(comparison[1][4]) <= 1.0
+
+
+def test_gen_output_reloads_to_the_same_dataset(tmp_path):
+    path = tmp_path / "sub" / "gen.csv"
+    assert main(["gen", "--synthetic", "m-of-n:3,2,4,50", "--seed", "8",
+                 "--out", str(path)]) == 0
+    want = generate_m_of_n(3, 2, 4, 50, RngStream(8))
+    got = load_csv(path)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)

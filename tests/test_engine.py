@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_evaluator
 from fsro.core import ConfigError, Group, new_mask
@@ -490,3 +492,32 @@ def test_run_with_dimension_one():
     outcome = run_search(params, 1, count_ones_fitness, RngStream(2))
     assert outcome.best_fitness == 1.0
     assert list(outcome.best_mask) == [1]
+
+
+def mismatch_fitness(masks):
+    """Fraction of bits differing from 1010...: cheap, with ties and a unique optimum."""
+    return [float(np.mean(m != (np.arange(m.size) % 2 == 0))) for m in masks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       population=st.integers(2, 10).map(lambda half: 2 * half),
+       dim=st.integers(1, 12),
+       iterations=st.integers(0, 5))
+def test_step_keeps_population_state_invariants(seed, population, dim, iterations):
+    """The PopulationState invariants hold after every step."""
+    params = FsroParams(population_size=population, max_iterations=iterations)
+    rng = RngStream(seed)
+    pop = initialize(params, dim, rng)
+    fits = mismatch_fitness([a.solution for a in pop.agents])
+    for a, fit in zip(pop.agents, fits):
+        a.fitness = fit
+    pop.global_best_fitness = min(fits)
+    pop.global_best_mask = pop.agents[fits.index(min(fits))].solution.copy()
+    for _ in range(iterations):
+        best = pop.global_best_fitness
+        step(pop, params, mismatch_fitness, rng)
+        assert abs(pop.frog_share + pop.snake_share - 1.0) < 1e-12
+        assert len(pop.agents) == population
+        assert pop.frogs() and pop.snakes()
+        assert pop.global_best_fitness <= best

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_evaluator
 from fsro import FitnessParams, RngStream, fitness, generate_m_of_n
 from fsro.core import ConfigError, new_mask
-from fsro.data import Dataset
+from fsro.data import Dataset, stratified_split
 from fsro.fitness import (
     FitnessEvaluator,
     error_rate,
@@ -198,30 +200,28 @@ def _random_masks(n_features, count, seed):
     return masks
 
 
-# plane source and chunk size: (stack budget, batch bytes in planes, chunk)
-KERNEL_CONFIGS = {
-    "stack": (None, None, 1),  # stack slices; a stack always means a chunk of 1
-    "scratch_chunk1": (0, 0, 1),  # scratch buffer, one mask per chunk
-    "scratch_chunk3": (0, 3, 3),  # full chunks and a short last one
-    "scratch_default": (0, None, None),  # BATCH_BYTES holds every mask in one chunk
-}
+# test rows per block: one (BLOCK_BYTES = 0), seven (neither kernel split
+# has a multiple of 7 test rows, so the last block is short), or the whole
+# split in one block at the default BLOCK_BYTES
+BLOCK_ROWS = {"rows1": 1, "short_last": 7, "whole": None}
 
 
-def _kernel_evaluator(dataset, config, monkeypatch, seed=4):
-    budget, planes, chunk = KERNEL_CONFIGS[config]
-    plane_bytes = make_evaluator(dataset, seed)[0]._accs[0].nbytes
-    with monkeypatch.context() as m:
-        if budget is not None:
-            m.setattr(fitness, "STACK_BUDGET_BYTES", budget)
-        if planes is not None:
-            m.setattr(fitness, "BATCH_BYTES", planes * plane_bytes)
-        evaluator, _ = make_evaluator(dataset, seed)
-    assert (evaluator._stack is None) == (budget is not None)
-    if chunk is None:
-        assert len(evaluator._accs) >= 40
+def _set_block_rows(monkeypatch, evaluator, n_masks, config):
+    """Make a batch of n_masks uncached masks run in blocks of the config's rows.
+
+    Returns the block sizes, in test rows, that such a batch goes through.
+    """
+    rows = BLOCK_ROWS[config]
+    n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
+    if rows is None:
+        assert fitness.BLOCK_BYTES // (8 * n_train * n_masks) >= n_test
+        rows = n_test
+    elif rows == 1:
+        monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)
     else:
-        assert len(evaluator._accs) == chunk
-    return evaluator
+        assert n_test % rows != 0
+        monkeypatch.setattr(fitness, "BLOCK_BYTES", 8 * n_train * n_masks * rows)
+    return [min(rows, n_test - lo) for lo in range(0, n_test, rows)]
 
 
 def _zero_seeded_distances(evaluator, mask):
@@ -234,44 +234,50 @@ def _zero_seeded_distances(evaluator, mask):
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
-def test_stack_and_over_budget_paths_are_bit_identical(kind, monkeypatch):
+def test_row_blocks_are_bit_identical(kind, monkeypatch):
     dataset = KERNEL_DATASETS[kind]()
     masks = _random_masks(dataset.n_features, 40, seed=11)
     distinct = list({m.tobytes(): m for m in masks}.values())
-    stacked = _kernel_evaluator(dataset, "stack", monkeypatch)
-    want = [_zero_seeded_distances(stacked, m) for m in distinct]
-    results = [stacked.error_and_fitness(m) for m in masks]
+    reference, _ = make_evaluator(dataset, seed=4)
+    want = [_zero_seeded_distances(reference, m) for m in distinct]
+    results = [reference.error_and_fitness(m) for m in masks]  # one mask per batch
     for mask, result in zip(masks, results):
-        assert result[0] == error_rate(stacked.train_x, stacked.train_y, stacked.test_x,
-                                       stacked.test_y, stacked.params.k_neighbors, mask)
+        assert result[0] == error_rate(reference.train_x, reference.train_y, reference.test_x,
+                                       reference.test_y, reference.params.k_neighbors, mask)
     real_nearest = fitness._nearest_indices
-    for config in KERNEL_CONFIGS:
-        evaluator = _kernel_evaluator(dataset, config, monkeypatch)
+    for config in BLOCK_ROWS:
+        evaluator, _ = make_evaluator(dataset, seed=4)
         seen = []
 
-        def spy(d2, k):  # the batch accumulator, copied before top-k consumes it
+        def spy(d2, k):  # one block's accumulators, copied before top-k consumes them
             seen.append(d2.copy())
             return real_nearest(d2, k)
 
         with monkeypatch.context() as m:
+            sizes = _set_block_rows(m, evaluator, len(distinct), config)
             m.setattr(fitness, "_nearest_indices", spy)
             assert evaluator.evaluate_all(masks) == [fit for _, fit in results]
-        assert len(seen) == len(distinct)
-        for got, ref in zip(seen, want):
-            assert np.array_equal(got, ref)
+        n_train = len(evaluator.train_y)
+        assert [d2.shape for d2 in seen] == [(len(distinct) * r, n_train) for r in sizes]
+        # (mask, row) pairs of each block, reassembled into one matrix per mask
+        got = np.concatenate([d2.reshape(len(distinct), -1, n_train) for d2 in seen], axis=1)
+        for g, ref in zip(got, want):
+            assert np.array_equal(g, ref)
         assert [evaluator.error_and_fitness(m) for m in masks] == results
 
 
-@pytest.mark.parametrize("config", sorted(KERNEL_CONFIGS))
+@pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
 @pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
 def test_evaluate_all_matches_per_mask_evaluation(kind, config, monkeypatch):
     dataset = KERNEL_DATASETS[kind]()
     masks = _random_masks(dataset.n_features, 30, seed=12)
     reference, _ = make_evaluator(dataset, seed=4)
     want = [reference.error_and_fitness(m) for m in masks]
-    evaluator = _kernel_evaluator(dataset, config, monkeypatch)
+    evaluator, _ = make_evaluator(dataset, seed=4)
     for mask in masks[::4]:  # cached before the batch arrives
         evaluator(mask)
+    uncached = {m.tobytes() for m in masks} - {m.tobytes() for m in masks[::4]}
+    _set_block_rows(monkeypatch, evaluator, len(uncached), config)
     # duplicates inside the batch, as copies and as the same object
     batch = masks + [m.copy() for m in masks[::3]] + masks[:5]
     got = evaluator.evaluate_all(batch)
@@ -281,9 +287,10 @@ def test_evaluate_all_matches_per_mask_evaluation(kind, config, monkeypatch):
     assert len(evaluator._cache) == len({m.tobytes() for m in masks})
 
 
-@pytest.mark.parametrize("config", sorted(KERNEL_CONFIGS))
+@pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
 def test_evaluate_all_rejects_zero_mask(small_m_of_n, config, monkeypatch):
-    evaluator = _kernel_evaluator(small_m_of_n, config, monkeypatch)
+    evaluator, _ = make_evaluator(small_m_of_n, seed=4)
+    _set_block_rows(monkeypatch, evaluator, 1, config)
     zero = np.zeros(small_m_of_n.n_features, dtype=np.uint8)
     ok = new_mask([1, 0, 1, 1])
     with pytest.raises(ValueError, match="all-zero mask"):
@@ -292,6 +299,37 @@ def test_evaluate_all_rejects_zero_mask(small_m_of_n, config, monkeypatch):
         evaluator.evaluate_all([zero])
     # the failed batch leaves nothing pending: a later call scores normally
     assert evaluator.evaluate_all([ok]) == [evaluator.evaluate(ok)]
+
+
+@pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
+def test_each_block_squares_each_selected_feature_once(config, monkeypatch):
+    dataset = KERNEL_DATASETS["continuous"]()
+    d = dataset.n_features
+    evaluator, _ = make_evaluator(dataset, seed=4)
+    cached = np.zeros(d, dtype=np.uint8)
+    cached[d - 1] = 1
+    evaluator(cached)
+    # the uncached masks leave the last three features unselected
+    masks = [np.concatenate([m, np.zeros(3, dtype=np.uint8)])
+             for m in _random_masks(d - 3, 12, seed=13)]
+    uncached = list({m.tobytes(): m for m in masks}.values())
+    selected = np.flatnonzero(np.any(uncached, axis=0))
+    assert selected.size < d
+    sizes = _set_block_rows(monkeypatch, evaluator, len(uncached), config)
+    calls = []
+    real_square_diff = fitness._square_diff
+
+    def spy(test, train, out):
+        calls.append(test.shape)
+        return real_square_diff(test, train, out)
+
+    monkeypatch.setattr(fitness, "_square_diff", spy)
+    evaluator.evaluate_all([cached, *masks, cached])
+    assert len(calls) == len(sizes) * selected.size
+    assert calls == [(r,) for r in sizes for _ in selected]
+    calls.clear()
+    evaluator.evaluate_all(masks + [cached])  # every mask already cached
+    assert calls == []
 
 
 def test_kernel_runs_inside_the_first_missing_call(small_m_of_n, monkeypatch):
@@ -321,10 +359,26 @@ def test_kernel_runs_inside_the_first_missing_call(small_m_of_n, monkeypatch):
     assert scored == [True, True]
 
 
+def _retained_numpy_bytes(action):
+    """Run action(); return its result and the numpy data bytes it left allocated."""
+    domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(domain)
+        result = action()
+        after = tracemalloc.take_snapshot().filter_traces(domain)
+    finally:
+        tracemalloc.stop()
+    return result, sum(s.size_diff for s in after.compare_to(before, "filename"))
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
 def test_evaluator_holds_normalized_rows_feature_major(kind):
     dataset = KERNEL_DATASETS[kind]()
-    evaluator, _ = make_evaluator(dataset, seed=6)
+    params = FitnessParams()
+    split = stratified_split(dataset, params.train_fraction, RngStream(6))
+    evaluator, retained = _retained_numpy_bytes(
+        lambda: FitnessEvaluator(dataset, split, params))
     train_raw = dataset.features[evaluator.split.train_indices]
     test_raw = dataset.features[evaluator.split.test_indices]
     assert np.array_equal(evaluator.train_x, minmax_normalize(train_raw, train_raw))
@@ -332,6 +386,12 @@ def test_evaluator_holds_normalized_rows_feature_major(kind):
     # feature-major: each feature's values are one contiguous row
     assert evaluator.train_x.T.flags.c_contiguous
     assert evaluator.test_x.T.flags.c_contiguous
-    stack = evaluator._stack
-    assert stack.flags.c_contiguous
-    assert stack.shape == (dataset.n_features, len(evaluator.test_y), len(evaluator.train_y))
+    # the normalized rows and the labels are all it keeps: no distance
+    # buffers, whether fresh or after scoring a batch
+    held = sum(a.nbytes for a in (evaluator.train_x, evaluator.test_x,
+                                  evaluator.train_y, evaluator.test_y))
+    assert retained == held
+    masks = _random_masks(dataset.n_features, 20, seed=7)
+    _, retained = _retained_numpy_bytes(lambda: evaluator.evaluate_all(masks))
+    assert len(evaluator._cache) == len({m.tobytes() for m in masks})
+    assert retained == 0

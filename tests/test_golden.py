@@ -5,9 +5,8 @@ runs.csv and every trace) are committed under tests/data/golden/<case>/.
 The m-of-n case has binary features, so KNN distances tie constantly and the
 tie rules decide the outcome; the real-valued case is tie-free, so its
 outcome rests on the distance order alone. Both are checked at one and two
-workers and with the stack budget at 0, which sends every distance plane
-through the over-budget scratch path; there, once with the default chunk of
-masks per computed plane and once with BATCH_BYTES at 0, a chunk of one.
+workers and with BLOCK_BYTES at 0, which scores every batch one test row
+per block.
 
 The fixture changes only on purpose, together with a note saying why. To
 re-freeze it, run this file as a script from the repository root:
@@ -50,13 +49,11 @@ def _replay_files(out: Path) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("data,algo", CASES)
-@pytest.mark.parametrize("mode", ["workers1", "workers2", "over_budget", "over_budget_chunk1"])
+@pytest.mark.parametrize("mode", ["workers1", "workers2", "block_rows1"])
 def test_cli_replays_golden_outputs(data, algo, mode, tmp_path, monkeypatch):
     monkeypatch.chdir(DATA_DIR)
-    if mode.startswith("over_budget"):
-        monkeypatch.setattr(fitness, "STACK_BUDGET_BYTES", 0)
-    if mode == "over_budget_chunk1":
-        monkeypatch.setattr(fitness, "BATCH_BYTES", 0)
+    if mode == "block_rows1":
+        monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)
     _run_case(data, algo, tmp_path, workers=2 if mode == "workers2" else 1)
     got = _replay_files(tmp_path)
     want = _replay_files(GOLDEN_DIR / data / algo)
