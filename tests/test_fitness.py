@@ -200,10 +200,19 @@ def _random_masks(n_features, count, seed):
     return masks
 
 
-# test rows per block: one (BLOCK_BYTES = 0), seven (neither kernel split
-# has a multiple of 7 test rows, so the last block is short), or the whole
-# split in one block at the default BLOCK_BYTES
-BLOCK_ROWS = {"rows1": 1, "short_last": 7, "whole": None}
+# Row-block configs of the kernel tests: test rows per block for a split of
+# n_test test rows, or None for the default BLOCK_BYTES. The IDs are those of
+# the mask-chunk configs they replaced, so the test names stay stable.
+BLOCK_ROWS = {
+    # one row per block (BLOCK_BYTES = 0)
+    "scratch_chunk1": lambda n_test: 1,
+    # three blocks, the last one short
+    "scratch_chunk3": lambda n_test: n_test // 3 + 1,
+    # the batch's accumulator stack one row over budget: n_test - 1 rows, then 1
+    "stack": lambda n_test: n_test - 1,
+    # the whole split in one block at the default BLOCK_BYTES
+    "scratch_default": lambda n_test: None,
+}
 
 
 def _set_block_rows(monkeypatch, evaluator, n_masks, config):
@@ -211,15 +220,15 @@ def _set_block_rows(monkeypatch, evaluator, n_masks, config):
 
     Returns the block sizes, in test rows, that such a batch goes through.
     """
-    rows = BLOCK_ROWS[config]
     n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
+    rows = BLOCK_ROWS[config](n_test)
     if rows is None:
         assert fitness.BLOCK_BYTES // (8 * n_train * n_masks) >= n_test
         rows = n_test
     elif rows == 1:
         monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)
     else:
-        assert n_test % rows != 0
+        assert n_test % rows != 0  # the last block is short
         monkeypatch.setattr(fitness, "BLOCK_BYTES", 8 * n_train * n_masks * rows)
     return [min(rows, n_test - lo) for lo in range(0, n_test, rows)]
 

@@ -5,8 +5,9 @@ runs.csv and every trace) are committed under tests/data/golden/<case>/.
 The m-of-n case has binary features, so KNN distances tie constantly and the
 tie rules decide the outcome; the real-valued case is tie-free, so its
 outcome rests on the distance order alone. Both are checked at one and two
-workers and with BLOCK_BYTES at 0, which scores every batch one test row
-per block.
+workers, with a BLOCK_BYTES small enough that every batch is over budget
+and run in several blocks of test rows, and with BLOCK_BYTES at 0, which
+scores every batch one test row per block.
 
 The fixture changes only on purpose, together with a note saying why. To
 re-freeze it, run this file as a script from the repository root:
@@ -34,6 +35,11 @@ DATASETS = {
     "real": ["--dataset", "real_small.csv", "--seed", "5"],
 }
 CASES = [(data, algo) for data in DATASETS for algo in ("fsro", "ga", "bpso")]
+# BLOCK_BYTES per over-budget mode. With 48 (m-of-n) and 57 (real) training
+# rows, 4 KB holds at most 10 and 8 test rows' accumulators, fewer than the
+# 12 and 15 test rows, so every batch runs in two blocks or more; 0 gives
+# one test row per block.
+OVER_BUDGET_BYTES = {"over_budget": 4_000, "over_budget_chunk1": 0}
 
 
 def _run_case(data: str, algo: str, out: Path, workers: int = 1) -> None:
@@ -49,11 +55,11 @@ def _replay_files(out: Path) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("data,algo", CASES)
-@pytest.mark.parametrize("mode", ["workers1", "workers2", "block_rows1"])
+@pytest.mark.parametrize("mode", ["workers1", "workers2", "over_budget", "over_budget_chunk1"])
 def test_cli_replays_golden_outputs(data, algo, mode, tmp_path, monkeypatch):
     monkeypatch.chdir(DATA_DIR)
-    if mode == "block_rows1":
-        monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)
+    if mode in OVER_BUDGET_BYTES:
+        monkeypatch.setattr(fitness, "BLOCK_BYTES", OVER_BUDGET_BYTES[mode])
     _run_case(data, algo, tmp_path, workers=2 if mode == "workers2" else 1)
     got = _replay_files(tmp_path)
     want = _replay_files(GOLDEN_DIR / data / algo)
