@@ -74,6 +74,15 @@ class FsroParams:
             raise ConfigError("max_dis and decision_dis must be positive")
         if self.ess_threshold < 1:
             raise ConfigError(f"ess_threshold must be >= 1, got {self.ess_threshold}")
+        # Below 2 * threshold, an uneven split can leave both groups at or
+        # under the threshold; both reseed, the two reseeds cancel, and the
+        # thin group is never lifted. At 2 * threshold only the even split
+        # has both groups there, and its two reseeds keep it even.
+        if self.population_size < 2 * self.ess_threshold:
+            raise ConfigError(
+                f"population_size must be >= 2 * ess_threshold, got "
+                f"{self.population_size} with ess_threshold={self.ess_threshold}"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,34 @@ evaluations.
 
 Tie rules are pinned for cross-platform determinism: a vote tie goes to the
 smallest class index, and a distance tie at the k-th neighbor goes to the
-smaller training-instance index. Neighbors are taken by k argmin-extraction
-passes, which realizes exactly that (distance, index) lexicographic order.
+smaller training-instance index. Neighbors are taken in that (distance,
+index) lexicographic order.
 
 Distances have one definition. A plane is the (n_test, n_train) matrix of
 squared differences on one feature, computed by `_square_diff`; a mask's
-squared distances are its planes summed in feature-index order. The one
-loop that sums them is `_accumulate`, which serves many masks at once: it
-walks the features in index order, squares each selected feature once into
-one scratch tile, and adds that tile into every mask that selects the
-feature. The evaluator feeds it a block of test rows at a time, so a tile
-is a few rows of a plane. Every element is the same subtract-then-square
-and every mask keeps its feature order, so every route to a distance gives
-the same bits, whatever the block size or the number of masks.
+squared distances are its planes summed in feature-index order. The
+evaluator computes them by one of two paths, fixed per split:
+
+- The real-valued path sums the planes. The one loop that sums them is
+  `_accumulate`, which serves many masks at once: it walks the features in
+  index order, squares each selected feature once into one scratch tile,
+  and adds that tile into every mask that selects the feature. The
+  evaluator feeds it a block of test rows at a time, so a tile is a few
+  rows of a plane. Every element is the same subtract-then-square and every
+  mask keeps its feature order, so every route to a distance gives the same
+  bits, whatever the block size or the number of masks. `_nearest_indices`
+  then takes the neighbors by k argmin passes, and the first minimum of a
+  row is its lowest index, which is the tie rule.
+- The bit path serves splits whose normalized values are all exactly 0.0
+  or 1.0 (`_is_binary`). There each squared difference is 0 or 1, so a
+  mask's distance is the number of selected features on which the rows
+  differ: popcount((test_word ^ train_word) & mask_word) over rows packed
+  into uint64 words by `_pack`. Every partial sum of the planes is such a
+  small integer, which float64 holds exactly, so the popcount is the float
+  path's distance to the bit. `_nearest_keys` ranks the composite keys
+  distance << shift | train_index, which are unique per row and order
+  exactly as (distance, index) does, so k passes of `min` take the same
+  neighbors as the k argmin passes, in the same order.
 """
 
 from __future__ import annotations
@@ -66,8 +81,37 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
 
 
 # Largest set of per-mask distance accumulators, (masks, rows, n_train)
-# float64, that one block of test rows may use; about one core's L2 cache.
+# float64 or composite keys, that one block of test rows may use; about one
+# core's L2 cache.
 BLOCK_BYTES = 2_000_000
+
+
+def _is_binary(*rows: np.ndarray) -> bool:
+    """The bit path's predicate: every normalized value is exactly 0.0 or 1.0.
+
+    It checks one row of each array at a time, so on real-valued data it
+    stops at the first feature row and makes no split-sized temporaries.
+    """
+    return all(bool(((row == 0.0) | (row == 1.0)).all()) for r in rows for row in r)
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """(n, n_features) 0/1 rows -> (n, words) uint64; bit f is feature f."""
+    packed = np.packbits(np.asarray(rows) != 0, axis=1, bitorder="little")
+    padded = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return np.ascontiguousarray(padded).view(np.uint64)
+
+
+def _key_dtype(n_train: int, n_features: int) -> np.dtype:
+    """Narrowest unsigned dtype whose maximum exceeds every composite key.
+
+    A key is distance << shift | train_index, with distance <= n_features and
+    shift = (n_train - 1).bit_length(); the maximum is `_nearest_keys`'s
+    sentinel for a taken neighbor.
+    """
+    bits = (n_train - 1).bit_length() + n_features.bit_length()
+    return next(dt for dt in map(np.dtype, (np.uint16, np.uint32, np.uint64))
+                if bits < 8 * dt.itemsize)
 
 
 def _square_diff(test: np.ndarray, train: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -119,6 +163,45 @@ def _nearest_indices(d2: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
+def _bit_keys(keys: np.ndarray, mask_words: np.ndarray, xor: np.ndarray,
+              shift: int) -> None:
+    """Write each mask's composite keys, distance << shift | train_index.
+
+    keys is (n, rows, n_train) for the n masks of mask_words, (n, words);
+    xor is (words, rows, n_train), test words ^ train words. A mask's
+    distance is the popcount of xor & mask, summed over the words.
+    """
+    tile = np.empty(xor.shape[1:], dtype=np.uint64)
+    for key, words in zip(keys, mask_words):
+        for w, (plane, word) in enumerate(zip(xor, words)):
+            np.bitwise_and(plane, word, out=tile)
+            if w:
+                np.add(key, np.bitwise_count(tile), out=key)
+            else:
+                np.bitwise_count(tile, out=key)
+    np.left_shift(keys, shift, out=keys)
+    np.bitwise_or(keys, np.arange(keys.shape[-1], dtype=keys.dtype), out=keys)
+
+
+def _nearest_keys(keys: np.ndarray, k: int, shift: int) -> np.ndarray:
+    """Row-wise train indices of the k smallest composite keys, smallest first.
+
+    Keys are unique within a row, so each pass's minimum names one column,
+    its low `shift` bits; that key then becomes the dtype maximum, which no
+    key reaches. The input matrix is consumed.
+    """
+    low = (1 << shift) - 1
+    top = np.iinfo(keys.dtype).max
+    rows = np.arange(keys.shape[0])
+    cols = np.empty((keys.shape[0], k), dtype=np.int64)
+    for j in range(k):
+        nearest = keys.min(axis=1) & low
+        cols[:, j] = nearest
+        if j + 1 < k:
+            keys[rows, nearest] = top
+    return cols
+
+
 def _vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
     """Majority vote per row; ties go to the smallest class index."""
     counts = np.zeros((neighbor_labels.shape[0], n_classes), dtype=np.int64)
@@ -143,12 +226,6 @@ def knn_predict(train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray,
     return _vote(train_y[neighbors], n_classes)
 
 
-def knn_classify(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray,
-                 k: int, mask: np.ndarray) -> int:
-    """Single-query form of knn_predict."""
-    return int(knn_predict(train_x, train_y, np.asarray(query)[None, :], k, mask)[0])
-
-
 def error_rate(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
                test_y: np.ndarray, k: int, mask: np.ndarray) -> float:
     """Fraction of test instances misclassified by masked KNN."""
@@ -171,17 +248,32 @@ class FitnessEvaluator:
     `evaluate_all(masks)` is the optimizers' entry point: it scores a whole
     generation. Duplicate and cached masks are dropped, and the rest are
     scored together, one block of test rows at a time. A block has as many
-    rows as keep the accumulators of every mask in the batch within
-    BLOCK_BYTES (at least one row). For each block, `_accumulate` squares
-    each selected feature's tile once and adds it into every mask that
-    selects it, then the k argmin passes and the vote run once over all of
-    the block's (mask, test row) pairs and wrong predictions are counted
-    per mask. Tiles are computed from the normalized rows alone: there is
-    no precomputed distance stack and no distance buffer survives a batch.
-    Every element is the same subtract-then-square in `_square_diff`, each
-    mask's planes are added in feature-index order, and top-k and the vote
-    are row-wise, so the outputs carry the same bits as one mask at a time
-    over the whole split.
+    rows as keep the distance buffers of every mask in the batch within
+    BLOCK_BYTES (at least one row). Each block yields the k neighbors of all
+    of its (mask, test row) pairs; the vote runs once over them, and wrong
+    predictions are counted per mask.
+
+    Which path finds the neighbors is chosen once, here, by one predicate:
+    `_is_binary` of the normalized rows.
+
+    - Real-valued splits take the float path. For each block, `_accumulate`
+      squares each selected feature's tile once and adds it into every mask
+      that selects it, then `_nearest_indices` makes k argmin passes. Every
+      element is the same subtract-then-square in `_square_diff`, and each
+      mask's planes are added in feature-index order.
+    - Splits whose values are all 0.0 or 1.0 take the bit path. The rows and
+      the masks are packed into uint64 words per batch. For each block, the
+      test ^ train words are computed once for all masks, `_bit_keys` turns
+      each mask's popcounts into composite keys distance << shift | index,
+      held in `_key_dtype`, and `_nearest_keys` makes k `min` passes. The
+      popcount equals the float path's distance exactly, and the keys rank
+      as (distance, index) does, so both paths take the same neighbors.
+
+    Top-k and the vote are row-wise, so on either path the outputs carry
+    the same bits as the float path for one mask at a time over the whole
+    split. Buffers are built per batch from the normalized rows alone: there
+    is no precomputed distance stack or packed copy of the split, and no
+    buffer survives a batch.
 
     `__call__` scores one mask. Inside `evaluate_all` it is called once per
     mask, and its first cache miss scores the whole pending batch, so
@@ -210,6 +302,9 @@ class FitnessEvaluator:
             )
         self.n_features = dataset.n_features
         self.n_classes = dataset.n_classes
+        # the bit path's key dtype, or None for the float path
+        self._key_dtype = (_key_dtype(len(self.train_y), self.n_features)
+                           if _is_binary(self._train_rows, self._test_rows) else None)
         self._cache: dict[bytes, tuple[float, float]] = {}
         self._pending = []
 
@@ -226,10 +321,22 @@ class FitnessEvaluator:
         if not todo:
             return
         matrix = np.array(list(todo.values()))
+        blocks = self._float_blocks if self._key_dtype is None else self._bit_blocks
+        wrong = np.zeros(len(matrix), dtype=np.int64)
+        for lo, hi, neighbors in blocks(matrix):
+            pred = _vote(self.train_y[neighbors], self.n_classes).reshape(len(matrix), hi - lo)
+            wrong += np.count_nonzero(pred != self.test_y[lo:hi], axis=1)
+        n_test = len(self.test_y)
+        for key, mask, w in zip(todo, matrix, wrong.tolist()):
+            err = w / n_test
+            self._cache[key] = (err, fitness_value(err, int(mask.sum()), self.n_features,
+                                                   self.params.alpha))
+
+    def _float_blocks(self, matrix: np.ndarray):
+        """Yield (lo, hi, neighbors) per block of test rows: summed planes, argmin passes."""
         n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
         rows = max(1, min(n_test, BLOCK_BYTES // (8 * n_train * n)))
         buf, scratch = np.empty(n * rows * n_train), np.empty((rows, n_train))
-        wrong = np.zeros(n, dtype=np.int64)
         for lo in range(0, n_test, rows):
             hi = min(lo + rows, n_test)
             # a fresh contiguous (n, hi - lo, n_train) view, so the short
@@ -239,13 +346,24 @@ class FitnessEvaluator:
             # `block[i] += tile` would copy the tile back
             _accumulate(list(block), matrix, self._test_rows[:, lo:hi],
                         self._train_rows, scratch[:hi - lo])
-            neighbors = _nearest_indices(block.reshape(-1, n_train), self.params.k_neighbors)
-            pred = _vote(self.train_y[neighbors], self.n_classes).reshape(n, hi - lo)
-            wrong += np.count_nonzero(pred != self.test_y[lo:hi], axis=1)
-        for key, mask, w in zip(todo, matrix, wrong.tolist()):
-            err = w / n_test
-            self._cache[key] = (err, fitness_value(err, int(mask.sum()), self.n_features,
-                                                   self.params.alpha))
+            yield lo, hi, _nearest_indices(block.reshape(-1, n_train), self.params.k_neighbors)
+
+    def _bit_blocks(self, matrix: np.ndarray):
+        """Yield (lo, hi, neighbors) per block of test rows: popcount keys, min passes."""
+        n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
+        shift = (n_train - 1).bit_length()
+        # word-major (words, rows): xor[w] below is one contiguous tile per word
+        test_words, train_words = _pack(self.test_x).T, _pack(self.train_x).T
+        mask_words = _pack(matrix)
+        rows = max(1, min(n_test, BLOCK_BYTES // (self._key_dtype.itemsize * n_train * n)))
+        buf = np.empty(n * rows * n_train, dtype=self._key_dtype)
+        for lo in range(0, n_test, rows):
+            hi = min(lo + rows, n_test)
+            keys = buf[:n * (hi - lo) * n_train].reshape(n, hi - lo, n_train)
+            xor = np.bitwise_xor(test_words[:, lo:hi, None], train_words[:, None, :])
+            _bit_keys(keys, mask_words, xor, shift)
+            yield lo, hi, _nearest_keys(keys.reshape(-1, n_train), self.params.k_neighbors,
+                                        shift)
 
     def evaluate_all(self, masks) -> list[float]:
         """Fitness of each mask, in order; the batch form optimizers call."""

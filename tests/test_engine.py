@@ -407,6 +407,29 @@ def test_ess_covers_single_member_group():
     assert len(pop.agents) == 40
 
 
+def test_params_reject_population_below_twice_ess_threshold():
+    for population, threshold in ((4, 3), (6, 4), (8, 5)):
+        with pytest.raises(ConfigError, match="2 \\* ess_threshold"):
+            FsroParams(population_size=population, ess_threshold=threshold)
+    for population, threshold in ((4, 2), (6, 3), (8, 4), (40, 2)):
+        assert FsroParams(population_size=population,
+                          ess_threshold=threshold).ess_threshold == threshold
+
+
+def test_ess_at_twice_the_threshold_lifts_the_thin_group_and_keeps_the_even_split():
+    for frogs, snakes in ((3, 5), (5, 3), (4, 4)):
+        pop = make_population(frogs, snakes)
+        ess_mutation(pop, 4)
+        assert (len(pop.frogs()), len(pop.snakes())) == (4, 4)
+
+
+def test_ess_below_twice_the_threshold_cannot_lift_the_thin_group():
+    """Why population 4 with threshold 3 is rejected: both groups reseed and cancel."""
+    pop = make_population(1, 3)
+    ess_mutation(pop, 3)
+    assert (len(pop.frogs()), len(pop.snakes())) == (1, 3)
+
+
 # --- step / run -------------------------------------------------------------
 
 def count_ones(mask):

@@ -6,12 +6,11 @@ import pytest
 from conftest import make_evaluator
 from fsro import FitnessParams, RngStream, fitness, generate_m_of_n
 from fsro.core import ConfigError, new_mask
-from fsro.data import Dataset, stratified_split
+from fsro.data import Dataset, Split, stratified_split
 from fsro.fitness import (
     FitnessEvaluator,
     error_rate,
     fitness_value,
-    knn_classify,
     knn_predict,
     minmax_normalize,
 )
@@ -41,30 +40,32 @@ def test_normalize_endpoints_and_no_clamping():
 def test_knn_exact_match_wins_at_k1():
     train_x = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]])
     train_y = np.array([0, 1, 0])
-    assert knn_classify(train_x, train_y, [5.0, 5.0], 1, new_mask([1, 1])) == 1
+    assert knn_predict(train_x, train_y, np.array([[5.0, 5.0]]), 1,
+                       new_mask([1, 1])).tolist() == [1]
 
 
 def test_knn_vote_tie_smaller_class_wins():
     # both classes at the same distance from the query, k=2
     train_x = np.array([[1.0], [3.0]])
     train_y = np.array([1, 0])
-    assert knn_classify(train_x, train_y, [2.0], 2, new_mask([1])) == 0
+    assert knn_predict(train_x, train_y, np.array([[2.0]]), 2, new_mask([1])).tolist() == [0]
 
 
 def test_knn_distance_tie_smaller_index_wins():
     # masking out the only separating feature leaves identical instances
     train_x = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
     train_y = np.array([2, 0, 1])
-    assert knn_classify(train_x, train_y, [9.0, 7.0], 1, new_mask([0, 1])) == 2
+    assert knn_predict(train_x, train_y, np.array([[9.0, 7.0]]), 1,
+                       new_mask([0, 1])).tolist() == [2]
 
 
 def test_knn_rejects_empty_mask_and_large_k():
     train_x = np.array([[1.0], [2.0]])
     train_y = np.array([0, 1])
     with pytest.raises(ValueError):
-        knn_classify(train_x, train_y, [1.0], 1, new_mask([0]))
+        knn_predict(train_x, train_y, np.array([[1.0]]), 1, new_mask([0]))
     with pytest.raises(ValueError):
-        knn_classify(train_x, train_y, [1.0], 3, new_mask([1]))
+        knn_predict(train_x, train_y, np.array([[1.0]]), 3, new_mask([1]))
 
 
 def test_knn_agrees_with_bruteforce_oracle():
@@ -221,15 +222,17 @@ def _set_block_rows(monkeypatch, evaluator, n_masks, config):
     Returns the block sizes, in test rows, that such a batch goes through.
     """
     n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
+    # bytes per (mask, test row, train row): a float64 sum or a composite key
+    item = 8 if evaluator._key_dtype is None else evaluator._key_dtype.itemsize
     rows = BLOCK_ROWS[config](n_test)
     if rows is None:
-        assert fitness.BLOCK_BYTES // (8 * n_train * n_masks) >= n_test
+        assert fitness.BLOCK_BYTES // (item * n_train * n_masks) >= n_test
         rows = n_test
     elif rows == 1:
         monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)
     else:
         assert n_test % rows != 0  # the last block is short
-        monkeypatch.setattr(fitness, "BLOCK_BYTES", 8 * n_train * n_masks * rows)
+        monkeypatch.setattr(fitness, "BLOCK_BYTES", item * n_train * n_masks * rows)
     return [min(rows, n_test - lo) for lo in range(0, n_test, rows)]
 
 
@@ -242,8 +245,14 @@ def _zero_seeded_distances(evaluator, mask):
     return want
 
 
+def _force_float_path(monkeypatch):
+    monkeypatch.setattr(fitness, "_is_binary", lambda *rows: False)
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
 def test_row_blocks_are_bit_identical(kind, monkeypatch):
+    # the float path is the oracle of the bit path, so binary data is held on it
+    _force_float_path(monkeypatch)
     dataset = KERNEL_DATASETS[kind]()
     masks = _random_masks(dataset.n_features, 40, seed=11)
     distinct = list({m.tobytes(): m for m in masks}.values())
@@ -294,6 +303,109 @@ def test_evaluate_all_matches_per_mask_evaluation(kind, config, monkeypatch):
         [fit for _, fit in want[:5]]
     assert [evaluator.error_and_fitness(m) for m in masks] == want
     assert len(evaluator._cache) == len({m.tobytes() for m in masks})
+
+
+@pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
+def test_bit_path_matches_float_path(config, monkeypatch):
+    dataset = KERNEL_DATASETS["binary"]()
+    masks = _random_masks(dataset.n_features, 30, seed=12)
+    batch = masks + [m.copy() for m in masks[::3]] + masks[:5]
+    uncached = {m.tobytes() for m in masks} - {m.tobytes() for m in masks[::4]}
+    outputs = {}
+    for path in ("float", "bit"):
+        with monkeypatch.context() as mp:
+            if path == "float":
+                _force_float_path(mp)
+            evaluator, _ = make_evaluator(dataset, seed=4)
+            assert (evaluator._key_dtype is None) == (path == "float")
+            for mask in masks[::4]:  # cached before the batch arrives
+                evaluator(mask)
+            sizes = _set_block_rows(mp, evaluator, len(uncached), config)
+            blocks = []  # the shape of each block that either top-k receives
+
+            def spy(real):
+                def top_k(d, *args):
+                    blocks.append(d.shape)
+                    return real(d, *args)
+                return top_k
+
+            for name in ("_nearest_indices", "_nearest_keys"):
+                mp.setattr(fitness, name, spy(getattr(fitness, name)))
+            got = evaluator.evaluate_all(batch)
+        n_train = len(evaluator.train_y)
+        assert blocks == [(len(uncached) * r, n_train) for r in sizes]
+        outputs[path] = got, [evaluator.error_and_fitness(m) for m in masks]
+    assert outputs["bit"] == outputs["float"]
+
+
+# binary kernel datasets: one packed word per row, and two (73 features)
+BIT_DATASETS = {
+    "binary": KERNEL_DATASETS["binary"],
+    "binary_wide": lambda: generate_m_of_n(3, 2, 70, 120, RngStream(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BIT_DATASETS))
+def test_bit_keys_decode_to_float_distances(kind, monkeypatch):
+    dataset = BIT_DATASETS[kind]()
+    masks = list({m.tobytes(): m for m in _random_masks(dataset.n_features, 40, seed=11)}
+                 .values())
+    evaluator, _ = make_evaluator(dataset, seed=4)
+    assert evaluator._key_dtype == np.uint16
+    n_train, k = len(evaluator.train_y), evaluator.params.k_neighbors
+    seen = []
+    real_nearest = fitness._nearest_keys
+
+    def spy(keys, k, shift):  # one block's keys, copied before top-k consumes them
+        copy = keys.reshape(len(masks), -1, n_train).copy()
+        cols = real_nearest(keys, k, shift)
+        seen.append((copy, shift, cols.reshape(len(masks), -1, k)))
+        return cols
+
+    monkeypatch.setattr(fitness, "_nearest_keys", spy)
+    # blocks of 7 test rows of 2-byte keys
+    monkeypatch.setattr(fitness, "BLOCK_BYTES", 2 * n_train * len(masks) * 7)
+    evaluator.evaluate_all(masks)
+    assert len(seen) > 1
+    shift = (n_train - 1).bit_length()
+    assert {s for _, s, _ in seen} == {shift}
+    keys = np.concatenate([b for b, _, _ in seen], axis=1)
+    cols = np.concatenate([c for _, _, c in seen], axis=1)
+    for mask, key, col in zip(masks, keys, cols):
+        want = _zero_seeded_distances(evaluator, mask)
+        assert np.array_equal(key >> shift, want)
+        assert np.array_equal(key & ((1 << shift) - 1),
+                              np.broadcast_to(np.arange(n_train), key.shape))
+        assert np.array_equal(col, fitness._nearest_indices(want, k))
+
+
+# train rows, test rows, and whether the normalized split is all 0.0 and 1.0
+PREDICATE_CASES = {
+    # a two-valued column, and a column constant on the train rows, which
+    # normalizes to 0.0 on every row, whatever the test rows hold
+    "constant_train_column": ([[3, 5], [7, 5], [3, 5], [7, 5], [3, 5], [7, 5]],
+                              [[7, 9], [3, 1], [7, 5]], True),
+    # a test value beyond the train range normalizes to 2.0
+    "test_value_outside": ([[3, 0], [7, 1], [3, 1], [7, 0], [3, 1], [7, 0]],
+                           [[11, 0], [3, 1], [7, 0]], False),
+    # a train column of 0, 0.5 and 1
+    "half_column": ([[0, 0], [0.5, 1], [1, 1], [0, 0], [0.5, 1], [1, 0]],
+                    [[0, 1], [1, 0], [0.5, 1]], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICATE_CASES))
+def test_bit_path_predicate(case):
+    train, test, binary = PREDICATE_CASES[case]
+    features = np.array(train + test, dtype=np.float64)
+    dataset = Dataset(case, features, np.arange(len(features), dtype=np.int64) % 2)
+    split = Split(np.arange(len(train)), np.arange(len(train), len(features)))
+    evaluator = FitnessEvaluator(dataset, split, FitnessParams(k_neighbors=3))
+    assert fitness._is_binary(evaluator.train_x, evaluator.test_x) is binary
+    assert (evaluator._key_dtype is not None) is binary
+    for mask in (new_mask([1, 0]), new_mask([0, 1]), new_mask([1, 1])):
+        assert evaluator.error_and_fitness(mask)[0] == brute_error_rate(
+            evaluator.train_x, evaluator.train_y, evaluator.test_x, evaluator.test_y, 3, mask)
 
 
 @pytest.mark.parametrize("config", sorted(BLOCK_ROWS))

@@ -3,8 +3,9 @@
 Each case is one CLI invocation. Its deterministic outputs (summary.csv,
 runs.csv and every trace) are committed under tests/data/golden/<case>/.
 The m-of-n case has binary features, so KNN distances tie constantly and the
-tie rules decide the outcome; the real-valued case is tie-free, so its
-outcome rests on the distance order alone. Both are checked at one and two
+tie rules decide the outcome; it runs on the evaluator's bit path. The
+real-valued case is tie-free, so its outcome rests on the distance order
+alone; it runs on the float path. Both are checked at one and two
 workers, with a BLOCK_BYTES small enough that every batch is over budget
 and run in several blocks of test rows, and with BLOCK_BYTES at 0, which
 scores every batch one test row per block.
@@ -35,11 +36,11 @@ DATASETS = {
     "real": ["--dataset", "real_small.csv", "--seed", "5"],
 }
 CASES = [(data, algo) for data in DATASETS for algo in ("fsro", "ga", "bpso")]
-# BLOCK_BYTES per over-budget mode. With 48 (m-of-n) and 57 (real) training
-# rows, 4 KB holds at most 10 and 8 test rows' accumulators, fewer than the
-# 12 and 15 test rows, so every batch runs in two blocks or more; 0 gives
-# one test row per block.
-OVER_BUDGET_BYTES = {"over_budget": 4_000, "over_budget_chunk1": 0}
+# BLOCK_BYTES per over-budget mode. With 48 (m-of-n, 2-byte keys of the bit
+# path) and 57 (real, 8-byte float sums) training rows, 1 KB holds at most
+# 10 and 2 test rows' buffers, fewer than the 12 and 15 test rows, so every
+# batch runs in two blocks or more; 0 gives one test row per block.
+OVER_BUDGET_BYTES = {"over_budget": 1_000, "over_budget_chunk1": 0}
 
 
 def _run_case(data: str, algo: str, out: Path, workers: int = 1) -> None:
