@@ -96,11 +96,17 @@ def _run_job(args) -> RunResult:
 def run_experiment(algorithm: str, dataset: Dataset, algo_params,
                    fit_params: FitnessParams, m_runs: int, base_seed: int,
                    workers: int = 1) -> tuple[list[RunResult], ExperimentSummary]:
-    """M independent runs with seeds base_seed..base_seed+M-1, plus the summary."""
+    """M independent runs with seeds base_seed..base_seed+M-1, plus the summary.
+
+    The runs use a pool of min(workers, m_runs) processes, or none for one.
+    """
     if m_runs < 1:
         raise ConfigError(f"need at least one run, got {m_runs}")
+    if workers < 1:
+        raise ConfigError(f"need at least one worker, got {workers}")
     jobs = [(algorithm, dataset, algo_params, fit_params, base_seed + k)
             for k in range(m_runs)]
+    workers = min(workers, m_runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs))

@@ -10,28 +10,47 @@ smallest class index, and a distance tie at the k-th neighbor goes to the
 smaller training-instance index. Neighbors are taken in that (distance,
 index) lexicographic order.
 
-Distances have one definition. A plane is the (n_test, n_train) matrix of
-squared differences on one feature, computed by `_square_diff`; a mask's
-squared distances are its planes summed in feature-index order. The
-evaluator computes them by one of two paths, fixed per split:
+Distances have one exact definition. A plane is the (n_test, n_train)
+matrix of squared differences on one feature, computed by `_square_diff`; a
+mask's squared distances are its planes summed in feature-index order. The
+one loop that sums them is `_accumulate`, which serves many masks at once:
+it walks the features in index order, squares each selected feature once
+into one scratch tile, and adds that tile into every mask that selects it.
+Every element is the same subtract-then-square and every mask keeps its
+feature order, so the exact distances carry the same bits whatever the
+block size or the number of masks. `_nearest_indices` then takes the
+neighbors by k argmin passes, and the first minimum of a row is its lowest
+index, which is the tie rule. The vote depends only on the neighbor set, so
+every route below that finds the same neighbor sets gives the same outputs.
+The evaluator finds them by one of two paths, fixed per split:
 
-- The real-valued path sums the planes. The one loop that sums them is
-  `_accumulate`, which serves many masks at once: it walks the features in
-  index order, squares each selected feature once into one scratch tile,
-  and adds that tile into every mask that selects the feature. The
-  evaluator feeds it a block of test rows at a time, so a tile is a few
-  rows of a plane. Every element is the same subtract-then-square and every
-  mask keeps its feature order, so every route to a distance gives the same
-  bits, whatever the block size or the number of masks. `_nearest_indices`
-  then takes the neighbors by k argmin passes, and the first minimum of a
-  row is its lowest index, which is the tie rule.
+- The real-valued path screens, then rechecks. A mask's squared distance
+  is a + b - 2 * Q, with a = sum m_f * x_f**2 over the test row, b = sum
+  m_f * y_f**2 over the train row and Q = sum m_f * x_f * y_f. The screen
+  computes b - 2 * Q for every (mask, test row, train row) of a block with
+  one GEMM of the masked test rows against the train rows; a is the same
+  for every train row of a (mask, test row) pair, so leaving it out changes
+  no rank and no gap. `_nearest_and_gap` takes the k argmin passes over the
+  screened values and returns the gap between each pair's (k+1)-th and
+  k-th smallest.
+- Why the screen keeps the bits. Error bounds for a sum of products hold
+  for any summation order and for FMA, and every term here is at most
+  x_f**2 + y_f**2 in size. So the screen (as a + screened) and the exact
+  loop are each within about 2 * s * 2**-53 * (a + b) of the true
+  distance, s being the mask's feature count. `_screen_tolerance` returns
+  eps = 16 * (s + 4) * 2**-53 * (a + max b), a bound on |screened - exact|
+  with a wide margin. Where the gap exceeds 2 * eps, every screened
+  neighbor's exact distance is below every other train row's, so the
+  screened set is the exact set and no tie rule is needed. Every other
+  pair, exact ties included, is rescored by `_recheck` with `_accumulate`
+  and `_nearest_indices`, which apply the tie rule.
 - The bit path serves splits whose normalized values are all exactly 0.0
   or 1.0 (`_is_binary`). There each squared difference is 0 or 1, so a
   mask's distance is the number of selected features on which the rows
   differ: popcount((test_word ^ train_word) & mask_word) over rows packed
   into uint64 words by `_pack`. Every partial sum of the planes is such a
-  small integer, which float64 holds exactly, so the popcount is the float
-  path's distance to the bit. `_nearest_keys` ranks the composite keys
+  small integer, which float64 holds exactly, so the popcount is the exact
+  distance to the bit. `_nearest_keys` ranks the composite keys
   distance << shift | train_index, which are unique per row and order
   exactly as (distance, index) does, so k passes of `min` take the same
   neighbors as the k argmin passes, in the same order.
@@ -80,9 +99,10 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
     return out
 
 
-# Largest set of per-mask distance accumulators, (masks, rows, n_train)
-# float64 or composite keys, that one block of test rows may use; about one
-# core's L2 cache.
+# Largest per-mask buffer that one block of test rows may use, about one
+# core's L2 cache: the screen's (masks, rows, n_train) float64 distances and
+# its (masks, rows, n_features) masked test values each fit, as do the bit
+# path's (masks, rows, n_train) composite keys.
 BLOCK_BYTES = 2_000_000
 
 
@@ -151,7 +171,8 @@ def _nearest_indices(d2: np.ndarray, k: int) -> np.ndarray:
     """Row-wise indices of the k nearest columns in (value, index) order.
 
     Each pass takes the first (lowest-index) minimum of every row, which is
-    the documented distance tie rule. The input matrix is consumed.
+    the documented distance tie rule. The input matrix is consumed: each
+    row's first k - 1 picks become inf, and its k-th keeps its value.
     """
     rows = np.arange(d2.shape[0])
     cols = np.empty((d2.shape[0], k), dtype=np.int64)
@@ -161,6 +182,51 @@ def _nearest_indices(d2: np.ndarray, k: int) -> np.ndarray:
         if j + 1 < k:
             d2[rows, nearest] = np.inf
     return cols
+
+
+def _nearest_and_gap(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's top-k: `_nearest_indices`, plus each row's gap.
+
+    Returns the (rows, k) neighbor indices and each row's (k+1)-th smallest
+    value minus its k-th; with k == n_train the gap is inf. The input matrix
+    is consumed.
+    """
+    cols = _nearest_indices(d, k)
+    rows, last = np.arange(d.shape[0]), cols[:, -1]
+    kth = d[rows, last]
+    d[rows, last] = np.inf
+    return cols, d[rows, d.argmin(axis=1)] - kth
+
+
+def _screen_tolerance(selected, a, b_max):
+    """eps >= |screened - exact| squared distance for a mask of `selected` features.
+
+    a is the test row's and b_max the largest train row's sum of squares over
+    the mask. See the module docstring for the bound.
+    """
+    return 16.0 * (selected + 4) * 2.0 ** -53 * (a + b_max)
+
+
+def _recheck(neighbors, flagged, matrix, test_rows, train_rows, buf, scratch) -> None:
+    """Replace the screened neighbors of one block's flagged pairs by exact ones.
+
+    neighbors is the block's (masks, rows, k) screened result and flagged its
+    (masks, rows) gap test. The masks with a flagged pair are summed by
+    `_accumulate` over the union of their flagged rows, into buf, and ranked
+    by `_nearest_indices`; the squares are shared as on the exact path, so a
+    block with every pair flagged costs one exact block.
+    """
+    masks, rows = np.flatnonzero(flagged.any(axis=1)), np.flatnonzero(flagged.any(axis=0))
+    if masks.size == 0:
+        return
+    n_train, k = train_rows.shape[1], neighbors.shape[-1]
+    exact = buf[:masks.size * rows.size * n_train].reshape(masks.size, rows.size, n_train)
+    # views held in a list: np.add on a view writes in place, where
+    # `exact[i] += tile` would copy the tile back
+    _accumulate(list(exact), matrix[masks], test_rows[:, rows], train_rows,
+                scratch[:rows.size])
+    neighbors[np.ix_(masks, rows)] = _nearest_indices(
+        exact.reshape(-1, n_train), k).reshape(masks.size, rows.size, k)
 
 
 def _bit_keys(keys: np.ndarray, mask_words: np.ndarray, xor: np.ndarray,
@@ -248,32 +314,40 @@ class FitnessEvaluator:
     `evaluate_all(masks)` is the optimizers' entry point: it scores a whole
     generation. Duplicate and cached masks are dropped, and the rest are
     scored together, one block of test rows at a time. A block has as many
-    rows as keep the distance buffers of every mask in the batch within
-    BLOCK_BYTES (at least one row). Each block yields the k neighbors of all
-    of its (mask, test row) pairs; the vote runs once over them, and wrong
-    predictions are counted per mask.
+    rows as keep each per-mask buffer of the batch within BLOCK_BYTES (at
+    least one row). Each block yields the k neighbors of all of its (mask,
+    test row) pairs; the vote runs once over them, and wrong predictions are
+    counted per mask.
 
     Which path finds the neighbors is chosen once, here, by one predicate:
     `_is_binary` of the normalized rows.
 
-    - Real-valued splits take the float path. For each block, `_accumulate`
-      squares each selected feature's tile once and adds it into every mask
-      that selects it, then `_nearest_indices` makes k argmin passes. Every
-      element is the same subtract-then-square in `_square_diff`, and each
-      mask's planes are added in feature-index order.
+    - Real-valued splits take the float path: screen, gap test, exact
+      recheck. For each block, one GEMM of the masked test rows (every mask
+      times every test row of the block) against the train rows gives b - 2Q
+      for all pairs, and `_nearest_and_gap` makes k argmin passes over it
+      plus one for the gap. A pair whose gap exceeds twice
+      `_screen_tolerance` keeps the screened neighbors: the error bound in
+      the module docstring makes them the exact neighbor set. The block's
+      other pairs go to `_recheck`, where `_accumulate` squares each selected
+      feature's tile once for the flagged masks and flagged rows and adds it
+      into every flagged mask that selects it, and `_nearest_indices` ranks
+      the exact sums with the tie rule. With every pair flagged, the block
+      costs the screen plus one exact block.
     - Splits whose values are all 0.0 or 1.0 take the bit path. The rows and
       the masks are packed into uint64 words per batch. For each block, the
       test ^ train words are computed once for all masks, `_bit_keys` turns
       each mask's popcounts into composite keys distance << shift | index,
       held in `_key_dtype`, and `_nearest_keys` makes k `min` passes. The
-      popcount equals the float path's distance exactly, and the keys rank
-      as (distance, index) does, so both paths take the same neighbors.
+      popcount equals the exact distance, and the keys rank as (distance,
+      index) does, so both paths take the same neighbors.
 
-    Top-k and the vote are row-wise, so on either path the outputs carry
-    the same bits as the float path for one mask at a time over the whole
-    split. Buffers are built per batch from the normalized rows alone: there
-    is no precomputed distance stack or packed copy of the split, and no
-    buffer survives a batch.
+    The vote depends only on the neighbor set, and on either path each
+    (mask, test row) pair gets the exact distances' neighbor set, so the
+    outputs carry the same bits as `_accumulate` and `_nearest_indices` for
+    one mask at a time over the whole split. Buffers are built per batch
+    from the normalized rows alone: there is no precomputed distance stack,
+    squared or packed copy of the split, and no buffer survives a batch.
 
     `__call__` scores one mask. Inside `evaluate_all` it is called once per
     mask, and its first cache miss scores the whole pending batch, so
@@ -333,20 +407,39 @@ class FitnessEvaluator:
                                                    self.params.alpha))
 
     def _float_blocks(self, matrix: np.ndarray):
-        """Yield (lo, hi, neighbors) per block of test rows: summed planes, argmin passes."""
+        """Yield (lo, hi, neighbors) per block of test rows: GEMM screen, exact recheck."""
         n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
-        rows = max(1, min(n_test, BLOCK_BYTES // (8 * n_train * n)))
-        buf, scratch = np.empty(n * rows * n_train), np.empty((rows, n_train))
+        d, k = self.n_features, self.params.k_neighbors
+        # per (mask, row): sums of squares over the mask, a of the test rows
+        # and b of the train rows
+        a = matrix @ np.square(self._test_rows)
+        b = matrix @ np.square(self._train_rows)
+        selected, b_max = matrix.sum(axis=1)[:, None], b.max(axis=1)[:, None]
+        # -2 * mask: scaling by a power of two is exact, so the GEMM of the
+        # masked test rows gives -2 * Q
+        weights = -2.0 * matrix
+        rows = max(1, min(n_test, BLOCK_BYTES // (8 * n * max(n_train, d))))
+        buf, masked_buf = np.empty(n * rows * n_train), np.empty(n * rows * d)
+        scratch = np.empty((rows, n_train))
         for lo in range(0, n_test, rows):
             hi = min(lo + rows, n_test)
-            # a fresh contiguous (n, hi - lo, n_train) view, so the short
-            # last block still flattens to (mask, row) pairs without a copy
-            block = buf[:n * (hi - lo) * n_train].reshape(n, hi - lo, n_train)
-            # views held in a list: np.add on a view writes in place, where
-            # `block[i] += tile` would copy the tile back
-            _accumulate(list(block), matrix, self._test_rows[:, lo:hi],
-                        self._train_rows, scratch[:hi - lo])
-            yield lo, hi, _nearest_indices(block.reshape(-1, n_train), self.params.k_neighbors)
+            # fresh contiguous views, so the short last block still flattens
+            # to (mask, row) pairs without a copy
+            masked = masked_buf[:n * (hi - lo) * d].reshape(n, hi - lo, d)
+            np.multiply(weights[:, None, :], self.test_x[lo:hi], out=masked)
+            screened = buf[:n * (hi - lo) * n_train].reshape(n, hi - lo, n_train)
+            np.matmul(masked.reshape(-1, d), self._train_rows,
+                      out=screened.reshape(-1, n_train))
+            # b - 2Q: the distance less a, which no train row's rank or gap
+            # depends on
+            screened += b[:, None, :]
+            neighbors, gap = _nearest_and_gap(screened.reshape(-1, n_train), k)
+            neighbors = neighbors.reshape(n, hi - lo, k)
+            flagged = gap.reshape(n, hi - lo) <= 2.0 * _screen_tolerance(
+                selected, a[:, lo:hi], b_max)
+            _recheck(neighbors, flagged, matrix, self._test_rows[:, lo:hi],
+                     self._train_rows, buf, scratch)
+            yield lo, hi, neighbors.reshape(-1, k)
 
     def _bit_blocks(self, matrix: np.ndarray):
         """Yield (lo, hi, neighbors) per block of test rows: popcount keys, min passes."""

@@ -1,7 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from fsro.bench import EXACT_LIMIT, Decision, wilcoxon_signed_rank
+from fsro import FitnessParams, RngStream, bench, generate_m_of_n
+from fsro.baselines import GaParams
+from fsro.bench import EXACT_LIMIT, Decision, run_experiment, wilcoxon_signed_rank
+from fsro.core import ConfigError
 from oracles import wilcoxon_enum_p
 
 
@@ -45,3 +50,31 @@ def test_normal_branch_matches_scipy(n):
     want = stats.wilcoxon(a, b, zero_method="wilcox", correction=True,
                           method="approx").pvalue
     assert p == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def _tiny_experiment(m_runs, workers):
+    dataset = generate_m_of_n(2, 1, 2, 40, RngStream(3))
+    return run_experiment("ga", dataset, GaParams(population_size=4, max_iterations=1),
+                          FitnessParams(), m_runs, 7, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_rejected(workers):
+    with pytest.raises(ConfigError, match="worker"):
+        _tiny_experiment(2, workers)
+
+
+def test_pool_is_no_larger_than_the_run_count(monkeypatch):
+    sizes = []
+
+    def pool(max_workers):  # records the pool size, runs the jobs in threads
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", pool)
+    serial, _ = _tiny_experiment(3, 1)
+    pooled, _ = _tiny_experiment(3, 8)
+    assert sizes == [3]
+    assert [r.best_fitness for r in pooled] == [r.best_fitness for r in serial]
+    _tiny_experiment(1, 8)  # one run takes no pool
+    assert sizes == [3]

@@ -4,6 +4,7 @@ precedence, and the `compare` and `gen` commands."""
 import csv
 
 import numpy as np
+import pytest
 
 from fsro import RngStream, generate_m_of_n
 from fsro.cli import main
@@ -35,6 +36,18 @@ def test_non_utf8_dataset_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and str(data) in err
     assert "UTF-8" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_fewer_than_one_worker_exits_2(command, workers, tmp_path, capsys):
+    algorithms = ["--algorithm", "ga"] if command == "run" else ["--algorithms", "ga", "bpso"]
+    out = tmp_path / "out"
+    code, err = _run([command, *TINY, *algorithms, "--runs", "2", "--iterations", "1",
+                      "--workers", workers, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "worker" in err
+    assert not out.exists()
 
 
 def _rows(path):

@@ -222,17 +222,21 @@ def _set_block_rows(monkeypatch, evaluator, n_masks, config):
     Returns the block sizes, in test rows, that such a batch goes through.
     """
     n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
-    # bytes per (mask, test row, train row): a float64 sum or a composite key
-    item = 8 if evaluator._key_dtype is None else evaluator._key_dtype.itemsize
+    # bytes per (mask, test row) of the larger buffer: the screen's float64
+    # distances or its masked test values, or the bit path's composite keys
+    if evaluator._key_dtype is None:
+        row_bytes = 8 * max(n_train, evaluator.n_features)
+    else:
+        row_bytes = evaluator._key_dtype.itemsize * n_train
     rows = BLOCK_ROWS[config](n_test)
     if rows is None:
-        assert fitness.BLOCK_BYTES // (item * n_train * n_masks) >= n_test
+        assert fitness.BLOCK_BYTES // (row_bytes * n_masks) >= n_test
         rows = n_test
     elif rows == 1:
         monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)
     else:
         assert n_test % rows != 0  # the last block is short
-        monkeypatch.setattr(fitness, "BLOCK_BYTES", item * n_train * n_masks * rows)
+        monkeypatch.setattr(fitness, "BLOCK_BYTES", row_bytes * n_masks * rows)
     return [min(rows, n_test - lo) for lo in range(0, n_test, rows)]
 
 
@@ -249,10 +253,17 @@ def _force_float_path(monkeypatch):
     monkeypatch.setattr(fitness, "_is_binary", lambda *rows: False)
 
 
+def _force_recheck(monkeypatch):
+    """Flag every (mask, test row) pair, so all go through the exact recheck."""
+    monkeypatch.setattr(fitness, "_screen_tolerance", lambda *args: np.inf)
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
 def test_row_blocks_are_bit_identical(kind, monkeypatch):
-    # the float path is the oracle of the bit path, so binary data is held on it
+    # the float path is the oracle of the bit path, so binary data is held on
+    # it, and its exact recheck takes every pair
     _force_float_path(monkeypatch)
+    _force_recheck(monkeypatch)
     dataset = KERNEL_DATASETS[kind]()
     masks = _random_masks(dataset.n_features, 40, seed=11)
     distinct = list({m.tobytes(): m for m in masks}.values())
@@ -262,23 +273,23 @@ def test_row_blocks_are_bit_identical(kind, monkeypatch):
     for mask, result in zip(masks, results):
         assert result[0] == error_rate(reference.train_x, reference.train_y, reference.test_x,
                                        reference.test_y, reference.params.k_neighbors, mask)
-    real_nearest = fitness._nearest_indices
+    real_accumulate = fitness._accumulate
     for config in BLOCK_ROWS:
         evaluator, _ = make_evaluator(dataset, seed=4)
         seen = []
 
-        def spy(d2, k):  # one block's accumulators, copied before top-k consumes them
-            seen.append(d2.copy())
-            return real_nearest(d2, k)
+        def spy(accs, *args):  # one block's exact sums, copied before top-k consumes them
+            real_accumulate(accs, *args)
+            seen.append(np.array(accs))
 
         with monkeypatch.context() as m:
             sizes = _set_block_rows(m, evaluator, len(distinct), config)
-            m.setattr(fitness, "_nearest_indices", spy)
+            m.setattr(fitness, "_accumulate", spy)
             assert evaluator.evaluate_all(masks) == [fit for _, fit in results]
         n_train = len(evaluator.train_y)
-        assert [d2.shape for d2 in seen] == [(len(distinct) * r, n_train) for r in sizes]
+        assert [acc.shape for acc in seen] == [(len(distinct), r, n_train) for r in sizes]
         # (mask, row) pairs of each block, reassembled into one matrix per mask
-        got = np.concatenate([d2.reshape(len(distinct), -1, n_train) for d2 in seen], axis=1)
+        got = np.concatenate(seen, axis=1)
         for g, ref in zip(got, want):
             assert np.array_equal(g, ref)
         assert [evaluator.error_and_fitness(m) for m in masks] == results
@@ -321,7 +332,7 @@ def test_bit_path_matches_float_path(config, monkeypatch):
             for mask in masks[::4]:  # cached before the batch arrives
                 evaluator(mask)
             sizes = _set_block_rows(mp, evaluator, len(uncached), config)
-            blocks = []  # the shape of each block that either top-k receives
+            blocks = []  # the shape of each block that the screen or the keys rank
 
             def spy(real):
                 def top_k(d, *args):
@@ -329,7 +340,7 @@ def test_bit_path_matches_float_path(config, monkeypatch):
                     return real(d, *args)
                 return top_k
 
-            for name in ("_nearest_indices", "_nearest_keys"):
+            for name in ("_nearest_and_gap", "_nearest_keys"):
                 mp.setattr(fitness, name, spy(getattr(fitness, name)))
             got = evaluator.evaluate_all(batch)
         n_train = len(evaluator.train_y)
@@ -424,6 +435,8 @@ def test_evaluate_all_rejects_zero_mask(small_m_of_n, config, monkeypatch):
 
 @pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
 def test_each_block_squares_each_selected_feature_once(config, monkeypatch):
+    # the exact recheck squares the planes; here it takes every pair
+    _force_recheck(monkeypatch)
     dataset = KERNEL_DATASETS["continuous"]()
     d = dataset.n_features
     evaluator, _ = make_evaluator(dataset, seed=4)
@@ -451,6 +464,107 @@ def test_each_block_squares_each_selected_feature_once(config, monkeypatch):
     calls.clear()
     evaluator.evaluate_all(masks + [cached])  # every mask already cached
     assert calls == []
+
+
+def _tie_heavy_dataset():
+    """Five-level real values with every row present four times.
+
+    The levels are 0.3 + 0.1 * {0..4}, which normalize to values that are no
+    multiples of a power of two, so the screen rounds where the exact sums
+    round differently. Labels are drawn per row, so copies of one row can
+    disagree, and the distance tie rule decides the vote.
+    """
+    g = np.random.default_rng(2025)
+    levels = g.integers(0, 5, size=(30, 9))
+    labels = g.integers(0, 3, size=120)
+    return Dataset("tie_heavy", np.repeat(0.3 + 0.1 * levels, 4, axis=0),
+                   labels.astype(np.int64))
+
+
+SCREEN_DATASETS = {**KERNEL_DATASETS, "tie_heavy": _tie_heavy_dataset}
+
+
+@pytest.mark.parametrize("kind", sorted(SCREEN_DATASETS))
+def test_screen_is_within_tolerance_of_exact_distances(kind, monkeypatch):
+    _force_float_path(monkeypatch)
+    dataset = SCREEN_DATASETS[kind]()
+    d = dataset.n_features
+    masks = [np.ones(d, dtype=np.uint8), *_random_masks(d, 30, seed=14)]
+    masks = list({m.tobytes(): m for m in masks}.values())
+    # split seed 5 puts continuous test values on both sides of [0, 1]
+    evaluator, _ = make_evaluator(dataset, seed=5)
+    if kind == "continuous":  # test values beyond the train range
+        assert evaluator.test_x.min() < 0.0 and evaluator.test_x.max() > 1.0
+    n_train = len(evaluator.train_y)
+    seen = []
+    real_nearest = fitness._nearest_and_gap
+
+    def spy(screened, k):  # one block's b - 2Q, copied before top-k consumes it
+        seen.append(screened.reshape(len(masks), -1, n_train).copy())
+        return real_nearest(screened, k)
+
+    monkeypatch.setattr(fitness, "_nearest_and_gap", spy)
+    monkeypatch.setattr(fitness, "BLOCK_BYTES", 8 * max(n_train, d) * len(masks) * 7)
+    evaluator.evaluate_all(masks)
+    assert len(seen) > 1
+    screened = np.concatenate(seen, axis=1)
+    for mask, got in zip(masks, screened):
+        cols = np.flatnonzero(mask)
+        a = np.sum(evaluator.test_x[:, cols] ** 2, axis=1)
+        b = np.sum(evaluator.train_x[:, cols] ** 2, axis=1)
+        eps = fitness._screen_tolerance(cols.size, a[:, None], b.max())
+        error = np.abs(a[:, None] + got - _zero_seeded_distances(evaluator, mask))
+        assert np.all(error <= eps)
+
+
+@pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
+def test_screen_tolerance_keeps_tie_heavy_outputs(config, monkeypatch):
+    dataset = _tie_heavy_dataset()
+    masks = _random_masks(dataset.n_features, 60, seed=15)
+    distinct = {m.tobytes() for m in masks}
+    outputs = {}
+    for tolerance in ("default", "inf"):
+        with monkeypatch.context() as mp:
+            if tolerance == "inf":
+                _force_recheck(mp)
+            evaluator, _ = make_evaluator(dataset, seed=4)
+            assert evaluator._key_dtype is None
+            _set_block_rows(mp, evaluator, len(distinct), config)
+            outputs[tolerance] = (evaluator.evaluate_all(masks),
+                                  [evaluator.error_and_fitness(m) for m in masks])
+    assert outputs["default"] == outputs["inf"]
+    for mask, (err, _) in zip(masks, outputs["default"][1]):
+        assert err == error_rate(evaluator.train_x, evaluator.train_y, evaluator.test_x,
+                                 evaluator.test_y, evaluator.params.k_neighbors, mask)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tie_heavy"])
+def test_recheck_takes_every_tied_pair_and_no_settled_one(kind, monkeypatch):
+    dataset = SCREEN_DATASETS[kind]()
+    masks = list({m.tobytes(): m for m in _random_masks(dataset.n_features, 40, seed=16)}
+                 .values())
+    evaluator, _ = make_evaluator(dataset, seed=4)
+    k = evaluator.params.k_neighbors
+    seen = []
+    real_recheck = fitness._recheck
+
+    def spy(neighbors, flagged, *args):  # one block's (mask, row) gap test
+        seen.append(flagged.copy())
+        return real_recheck(neighbors, flagged, *args)
+
+    monkeypatch.setattr(fitness, "_recheck", spy)
+    monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)  # one test row per block
+    evaluator.evaluate_all(masks)
+    flagged = np.concatenate(seen, axis=1)
+    assert flagged.shape == (len(masks), len(evaluator.test_y))
+    # a pair is tied when its k-th and (k+1)-th exact distances are equal
+    tied = np.array([[row[k - 1] == row[k] for row in np.sort(
+        _zero_seeded_distances(evaluator, mask), axis=1)] for mask in masks])
+    if kind == "continuous":
+        assert not tied.any() and not flagged.any()
+    else:
+        assert tied.sum() > len(masks)
+        assert np.all(flagged[tied])
 
 
 def test_kernel_runs_inside_the_first_missing_call(small_m_of_n, monkeypatch):
