@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .baselines import BpsoParams, GaParams, bpso_run, ga_run
 from .core import ConfigError, RunResult
 from .data import Dataset, stratified_split
@@ -89,8 +91,26 @@ def run_single(algorithm: str, dataset: Dataset, algo_params,
     )
 
 
-def _run_job(args) -> RunResult:
-    return run_single(*args)
+# (algorithm, dataset, algo_params, fit_params) of a pool worker's runs, set
+# once by _start_worker; only pool workers read it
+_worker_inputs: tuple | None = None
+
+
+def _start_worker(blas_threads: int, inputs: tuple) -> None:
+    global _worker_inputs
+    blas.set_threads(blas_threads)
+    _worker_inputs = inputs
+
+
+def _run_seed(seed: int) -> RunResult:
+    return run_single(*_worker_inputs, seed)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(algorithm: str, dataset: Dataset, algo_params,
@@ -99,19 +119,25 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     """M independent runs with seeds base_seed..base_seed+M-1, plus the summary.
 
     The runs use a pool of min(workers, m_runs) processes, or none for one.
+    Each pool worker receives the run inputs once, at start, and caps numpy's
+    BLAS at its share of the CPUs' threads, max(1, cpus // pool size), so
+    the workers' matrix products do not contend for the CPUs. A serial run
+    keeps every BLAS thread.
     """
     if m_runs < 1:
         raise ConfigError(f"need at least one run, got {m_runs}")
     if workers < 1:
         raise ConfigError(f"need at least one worker, got {workers}")
-    jobs = [(algorithm, dataset, algo_params, fit_params, base_seed + k)
-            for k in range(m_runs)]
+    seeds = [base_seed + k for k in range(m_runs)]
     workers = min(workers, m_runs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+        inputs = (algorithm, dataset, algo_params, fit_params)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(max(1, _cpu_count() // workers), inputs)) as pool:
+            results = list(pool.map(_run_seed, seeds))
     else:
-        results = [_run_job(j) for j in jobs]
+        results = [run_single(algorithm, dataset, algo_params, fit_params, seed)
+                   for seed in seeds]
     results.sort(key=lambda r: r.seed)
     return results, summarize(results, dataset.n_features)
 

@@ -192,7 +192,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="weight of the error term in the fitness")
     p.add_argument("--knn-k", type=int, default=5)
     p.add_argument("--out", default="fsro_out", help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel run workers")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel run workers; pool workers share the CPUs' BLAS "
+                        "threads, a serial run keeps them all")
     p.add_argument("--config", help="key=value file; explicit flags win")
     # frog-snake engine overrides
     p.add_argument("--max-dis", type=float, default=80.0)

@@ -1,9 +1,12 @@
+import multiprocessing
+import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fsro import FitnessParams, RngStream, bench, generate_m_of_n
+from fsro import FitnessParams, RngStream, bench, blas, generate_m_of_n
 from fsro.baselines import GaParams
 from fsro.bench import EXACT_LIMIT, Decision, run_experiment, wilcoxon_signed_rank
 from fsro.core import ConfigError
@@ -64,17 +67,67 @@ def test_fewer_than_one_worker_is_rejected(workers):
         _tiny_experiment(2, workers)
 
 
+def _cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def _outputs(results):
+    """Everything a run reports but its wall time."""
+    return [(r.algorithm, r.dataset, r.seed, r.best_fitness, r.best_mask.tobytes(),
+             r.test_accuracy, r.selected_count, r.trace) for r in results]
+
+
 def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     sizes = []
+    caps = []
 
-    def pool(max_workers):  # records the pool size, runs the jobs in threads
+    def pool(max_workers, initializer, initargs):  # records the size, runs jobs in threads
         sizes.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
+        return ThreadPoolExecutor(max_workers, initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", pool)
+    # the worker set-up runs in this process's threads: record its BLAS cap
+    # instead of applying it, and put the input slot back afterwards
+    monkeypatch.setattr(blas, "set_threads", caps.append)
+    monkeypatch.setattr(bench, "_worker_inputs", ("not", "for", "serial", "runs"))
     serial, _ = _tiny_experiment(3, 1)
     pooled, _ = _tiny_experiment(3, 8)
     assert sizes == [3]
+    assert caps and set(caps) == {max(1, _cpus() // 3)}
     assert [r.best_fitness for r in pooled] == [r.best_fitness for r in serial]
     _tiny_experiment(1, 8)  # one run takes no pool
     assert sizes == [3]
+
+
+def _report_blas_threads(real_run_single):
+    def run_single(*args):  # runs in a pool worker
+        result = real_run_single(*args)
+        return replace(result, dataset=(os.getpid(), blas.threads()))
+
+    return run_single
+
+
+def test_pool_workers_share_the_blas_threads(monkeypatch):
+    before = blas.threads()
+    if before is None:
+        pytest.skip("numpy's bundled OpenBLAS or its thread setter was not found")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched run_single reaches pool workers only through fork")
+    monkeypatch.setattr(bench, "run_single", _report_blas_threads(bench.run_single))
+    results, _ = _tiny_experiment(4, 2)
+    readings = [r.dataset for r in results]
+    assert all(pid != os.getpid() for pid, _ in readings)
+    assert {threads for _, threads in readings} == {max(1, _cpus() // 2)}
+    assert blas.threads() == before  # the parent keeps its own count
+
+
+def test_pool_without_openblas_gives_the_serial_results(monkeypatch):
+    monkeypatch.setattr(blas, "_openblas_calls", lambda: None)
+    assert blas.threads() is None
+    serial, serial_summary = _tiny_experiment(3, 1)
+    pooled, pooled_summary = _tiny_experiment(3, 2)
+    assert _outputs(pooled) == _outputs(serial)
+    assert (replace(pooled_summary, average_time=0.0)
+            == replace(serial_summary, average_time=0.0))

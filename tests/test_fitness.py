@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_evaluator
-from fsro import FitnessParams, RngStream, fitness, generate_m_of_n
+from fsro import FitnessParams, RngStream, blas, fitness, generate_m_of_n
 from fsro.core import ConfigError, new_mask
 from fsro.data import Dataset, Split, stratified_split
 from fsro.fitness import (
@@ -565,6 +565,25 @@ def test_recheck_takes_every_tied_pair_and_no_settled_one(kind, monkeypatch):
     else:
         assert tied.sum() > len(masks)
         assert np.all(flagged[tied])
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tie_heavy"])
+def test_blas_thread_count_cannot_change_outputs(kind):
+    default = blas.threads()
+    if default is None:
+        pytest.skip("numpy's bundled OpenBLAS or its thread setter was not found")
+    dataset = SCREEN_DATASETS[kind]()
+    masks = _random_masks(dataset.n_features, 40, seed=17)
+    outputs = {}
+    try:
+        for count in (1, default):
+            blas.set_threads(count)
+            evaluator, _ = make_evaluator(dataset, seed=4)
+            outputs[count] = (evaluator.evaluate_all(masks),
+                              [evaluator.error_and_fitness(m) for m in masks])
+    finally:
+        blas.set_threads(default)
+    assert outputs[1] == outputs[default]
 
 
 def test_kernel_runs_inside_the_first_missing_call(small_m_of_n, monkeypatch):
