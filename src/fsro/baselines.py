@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, SearchOutcome, TraceRow
-from .engine import repair_mask
+from .engine import random_mask, repair_mask
 from .rng import RngStream
 
 
@@ -40,6 +40,9 @@ class GaParams:
         if self.max_iterations < 0:
             raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
+    def search(self, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
+        return ga_run(self, dim, evaluate, rng)
+
 
 @dataclass(frozen=True)
 class BpsoParams:
@@ -58,17 +61,13 @@ class BpsoParams:
         if self.max_iterations < 0:
             raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
+    def search(self, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
+        return bpso_run(self, dim, evaluate, rng)
+
 
 def sigmoid_transfer(v: float) -> float:
     """Map a velocity to a bit-selection probability in (0, 1)."""
     return 1.0 / (1.0 + math.exp(-v))
-
-
-def _random_mask(dim: int, rng: RngStream) -> np.ndarray:
-    bits = np.empty(dim, dtype=np.uint8)
-    for d in range(dim):
-        bits[d] = rng.bit()
-    return repair_mask(bits, rng)
 
 
 def _tournament(fitness: list[float], rng: RngStream) -> int:
@@ -111,7 +110,7 @@ def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams
 
 
 def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
-    population = [_random_mask(dim, rng) for _ in range(params.population_size)]
+    population = [random_mask(dim, rng) for _ in range(params.population_size)]
     fitness = evaluate(population)
     best = min(range(len(fitness)), key=lambda i: (fitness[i], i))
     best_mask, best_fit = population[best].copy(), fitness[best]
@@ -163,7 +162,7 @@ def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
 
 
 def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
-    positions = [_random_mask(dim, rng) for _ in range(params.population_size)]
+    positions = [random_mask(dim, rng) for _ in range(params.population_size)]
     velocities = [np.zeros(dim) for _ in range(params.population_size)]
     pbest = [x.copy() for x in positions]
     pbest_fit = evaluate(positions)

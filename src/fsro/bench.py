@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .baselines import BpsoParams, GaParams, bpso_run, ga_run
+from .baselines import BpsoParams, GaParams
 from .core import ConfigError, RunResult
 from .data import Dataset, stratified_split
-from .engine import FsroParams, run_search
+from .engine import FsroParams
 from .fitness import FitnessEvaluator, FitnessParams
 from .rng import RngStream
 
-ALGORITHMS = ("fsro", "ga", "bpso")
+# each algorithm's params class; its search(dim, evaluate, rng) runs it
+ALGORITHMS = {"fsro": FsroParams, "ga": GaParams, "bpso": BpsoParams}
 
 # above this many nonzero differences the signed-rank p-value switches from
 # exact enumeration to the tie-corrected normal approximation
@@ -49,26 +50,6 @@ class Decision(enum.Enum):
     SIGNIFICANT = "+"
 
 
-def _search(algorithm: str, algo_params, dim: int, evaluate, rng: RngStream):
-    if algorithm == "fsro":
-        return run_search(algo_params, dim, evaluate, rng)
-    if algorithm == "ga":
-        return ga_run(algo_params, dim, evaluate, rng)
-    if algorithm == "bpso":
-        return bpso_run(algo_params, dim, evaluate, rng)
-    raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-
-
-def default_params(algorithm: str, population_size: int = 40, max_iterations: int = 100):
-    if algorithm == "fsro":
-        return FsroParams(population_size=population_size, max_iterations=max_iterations)
-    if algorithm == "ga":
-        return GaParams(population_size=population_size, max_iterations=max_iterations)
-    if algorithm == "bpso":
-        return BpsoParams(population_size=population_size, max_iterations=max_iterations)
-    raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-
-
 def run_single(algorithm: str, dataset: Dataset, algo_params,
                fit_params: FitnessParams, seed: int) -> RunResult:
     """One seeded run: split, evaluate-loop, and dataset-level bookkeeping."""
@@ -76,7 +57,7 @@ def run_single(algorithm: str, dataset: Dataset, algo_params,
     rng = RngStream(seed)
     split = stratified_split(dataset, fit_params.train_fraction, rng)
     evaluator = FitnessEvaluator(dataset, split, fit_params)
-    outcome = _search(algorithm, algo_params, dataset.n_features, evaluator.evaluate_all, rng)
+    outcome = algo_params.search(dataset.n_features, evaluator.evaluate_all, rng)
     wall = time.perf_counter() - start
     return RunResult(
         algorithm=algorithm,

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .baselines import BpsoParams, GaParams
 from .bench import ALGORITHMS, run_experiment, wilcoxon_signed_rank
 from .core import ConfigError, DataError, RunResult, mask_string
 from .data import Dataset, generate_m_of_n, load_csv, save_csv
-from .engine import FsroParams
 from .fitness import FitnessParams
 from .rng import RngStream
 
@@ -54,24 +53,13 @@ def _load_dataset(args) -> Dataset:
 
 
 def _algo_params(args, algorithm: str):
-    if algorithm == "fsro":
-        return FsroParams(
-            population_size=args.pop_size, max_iterations=args.iterations,
-            max_dis=args.max_dis, decision_dis=args.decision_dis,
-            w1=args.w1, w2=args.w2, d1=args.d1, d2=args.d2,
-        )
-    if algorithm == "ga":
-        return GaParams(
-            crossover_rate=args.crossover_rate, mutation_rate=args.mutation_rate,
-            population_size=args.pop_size, max_iterations=args.iterations,
-        )
-    if algorithm == "bpso":
-        return BpsoParams(
-            inertia_weight=args.inertia, cognitive_factor=args.cognitive,
-            social_factor=args.social,
-            population_size=args.pop_size, max_iterations=args.iterations,
-        )
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    """The algorithm's params, each field from the flag whose dest is its name."""
+    cls = ALGORITHMS.get(algorithm)
+    # argparse checks choices on the command line only, not on config defaults
+    if cls is None:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; "
+                          f"expected one of {', '.join(ALGORITHMS)}")
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def _fitness_params(args) -> FitnessParams:
@@ -134,13 +122,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # required here, not by argparse, so a config file can supply it
+    if args.algorithms is None:
+        raise ConfigError("compare needs --algorithms ALGO_A ALGO_B")
     algo_a, algo_b = args.algorithms
+    algo_params = {algo: _algo_params(args, algo) for algo in (algo_a, algo_b)}
     dataset = _load_dataset(args)
     fit_params = _fitness_params(args)
     out = Path(args.out)
     results = {}
     for algo in (algo_a, algo_b):
-        res, _ = run_experiment(algo, dataset, _algo_params(args, algo),
+        res, _ = run_experiment(algo, dataset, algo_params[algo],
                                 fit_params, args.runs, args.seed,
                                 workers=args.workers)
         results[algo] = res
@@ -185,8 +177,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs", type=int, default=30, help="number of seeded runs")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--pop-size", type=int, default=40)
+    # a flag whose dest is the name of a params field sets that field in
+    # every algorithm that has it (_algo_params)
+    p.add_argument("--iterations", dest="max_iterations", type=int, default=100)
+    p.add_argument("--pop-size", dest="population_size", type=int, default=40)
     p.add_argument("--seed", type=int, default=1, help="base seed; run k uses seed+k")
     p.add_argument("--alpha", type=float, default=0.9,
                    help="weight of the error term in the fitness")
@@ -207,9 +201,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--crossover-rate", type=float, default=0.8)
     p.add_argument("--mutation-rate", type=float, default=0.3)
     # bpso overrides
-    p.add_argument("--inertia", type=float, default=1.0)
-    p.add_argument("--cognitive", type=float, default=2.0)
-    p.add_argument("--social", type=float, default=2.0)
+    p.add_argument("--inertia", dest="inertia_weight", type=float, default=1.0)
+    p.add_argument("--cognitive", dest="cognitive_factor", type=float, default=2.0)
+    p.add_argument("--social", dest="social_factor", type=float, default=2.0)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -231,7 +225,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_data_flags(cmp_p)
     _add_run_flags(cmp_p)
     cmp_p.add_argument("--algorithms", nargs=2, choices=ALGORITHMS,
-                       metavar=("ALGO_A", "ALGO_B"), required=True)
+                       metavar=("ALGO_A", "ALGO_B"))
     cmp_p.set_defaults(func=cmd_compare)
     sub_map["compare"] = cmp_p
 
@@ -246,8 +240,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
-    """Read key=value lines and convert them with the owning flag's type."""
-    actions = {a.dest: a for a in sub._actions}
+    """Read key=value lines and convert them with the owning flag's type.
+
+    A key is a long flag's name, not its dest: pop-size (or pop_size)
+    sets --pop-size.
+    """
+    actions = {opt[2:].replace("-", "_"): a for a in sub._actions
+               for opt in a.option_strings if opt.startswith("--")}
     defaults = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -260,16 +259,18 @@ def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln + 1}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in ("config", "func", "command"):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest == "config":
             raise ConfigError(f"{path}:{ln + 1}: unknown option {key!r}")
+        dest = action.dest
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() not in ("true", "false"):
                 raise ConfigError(f"{path}:{ln + 1}: {key} takes true or false")
             defaults[dest] = value.lower() == "true"
         elif action.nargs not in (None, "?"):
             defaults[dest] = value.split()
+            if isinstance(action.nargs, int) and len(defaults[dest]) != action.nargs:
+                raise ConfigError(f"{path}:{ln + 1}: {key} takes {action.nargs} values")
         elif action.type is not None:
             try:
                 defaults[dest] = action.type(value)

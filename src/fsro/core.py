@@ -9,7 +9,7 @@ are float64 throughout.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class PopulationState:
     global_best_mask: np.ndarray | None = None
     global_best_fitness: float | None = None
     next_agent_id: int = 0
-    # diagnostics from the most recent step (predation outcomes)
-    predation_plans: list = field(default_factory=list)
+    # whether any capture in the most recent step succeeded
+    captured: bool = False
 
     def frogs(self) -> list[Agent]:
         return [a for a in self.agents if a.group is Group.FROG]

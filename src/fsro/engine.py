@@ -2,10 +2,10 @@
 
 Each iteration runs, in order: two-point crossover inside the snake group,
 uniform crossover inside the frog group (recording which indexes changed),
-behavior classification per frog, predation-point selection, a capture
-attempt per frog against a random snake, evaluation of every agent, a
-replicator-dynamics share update that regroups agents, and a mutation that
-reseeds any near-extinct group with the best solution found so far.
+predation-point selection per frog, a capture attempt per frog against a
+random snake, evaluation of every agent, a replicator-dynamics share update
+that regroups agents, and a mutation that reseeds any near-extinct group with
+the best solution found so far.
 
 The stream is consumed in a fixed order so runs replay exactly: group
 shuffle, then per-agent crossover draws in agent-list order (snakes before
@@ -22,7 +22,6 @@ draws nothing, batching leaves the stream and the results unchanged.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +38,6 @@ from .rng import RngStream
 
 # keeps both shares representable at one agent for the default N=40
 SHARE_FLOOR = 0.025
-
-
-class Behavior(enum.Enum):
-    MOVING = "moving"
-    MOTIONLESS = "motionless"
-
-
-class MoveOrder(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
 
 
 @dataclass(frozen=True)
@@ -84,35 +73,22 @@ class FsroParams:
                 f"{self.population_size} with ess_threshold={self.ess_threshold}"
             )
 
+    def search(self, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
+        return run_search(self, dim, evaluate, rng)
+
 
 @dataclass(frozen=True)
 class CrossoverRecord:
     """Outcome of one uniform crossover, seen from one parent.
 
-    mask[i] is True where the child took the partner's bit; changed holds the
-    indexes where the child actually differs from this parent; boundaries are
-    the mask flip positions (i >= 1 with mask[i] != mask[i-1]).
+    mask[i] is True where the child took the partner's bit; changed[i] is True
+    where the child actually differs from this parent; boundaries are the mask
+    flip positions (i >= 1 with mask[i] != mask[i-1]).
     """
 
-    agent_id: int
     mask: np.ndarray
-    changed: frozenset[int]
-    unchanged: frozenset[int]
+    changed: np.ndarray
     boundaries: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PredationPlan:
-    """One frog-snake capture interaction and its outcome."""
-
-    frog_id: int
-    snake_id: int
-    behavior: Behavior
-    predation_points: frozenset[int]
-    distance: float
-    order: MoveOrder
-    avoidance_rate: float
-    succeeded: bool
 
 
 def repair_mask(mask: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -122,19 +98,22 @@ def repair_mask(mask: np.ndarray, rng: RngStream) -> np.ndarray:
     return mask
 
 
+def random_mask(dim: int, rng: RngStream) -> np.ndarray:
+    """One fair bit per position, then the zero-mask repair."""
+    bits = np.empty(dim, dtype=np.uint8)
+    for d in range(dim):
+        bits[d] = rng.bit()
+    return repair_mask(bits, rng)
+
+
 def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
     """Uniform random population, half frogs half snakes, every mask non-empty."""
     if dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {dim}")
     n = params.population_size
-    agents = []
-    for i in range(n):
-        bits = np.empty(dim, dtype=np.uint8)
-        for d in range(dim):
-            bits[d] = rng.bit()
-        repair_mask(bits, rng)
-        group = Group.FROG if i < n // 2 else Group.SNAKE
-        agents.append(Agent(id=i, solution=bits, group=group))
+    agents = [Agent(id=i, solution=random_mask(dim, rng),
+                    group=Group.FROG if i < n // 2 else Group.SNAKE)
+              for i in range(n)]
     return PopulationState(
         agents=agents,
         frog_share=0.5,
@@ -163,8 +142,8 @@ def two_point_crossover(a: np.ndarray, b: np.ndarray,
     return child, (p1, p2)
 
 
-def uniform_crossover(a: np.ndarray, b: np.ndarray, rng: RngStream,
-                      agent_id: int = -1) -> tuple[np.ndarray, CrossoverRecord]:
+def uniform_crossover(a: np.ndarray, b: np.ndarray,
+                      rng: RngStream) -> tuple[np.ndarray, CrossoverRecord]:
     """Child takes b wherever an independent fair coin lands True."""
     if a.shape != b.shape:
         raise ValueError(f"parent lengths differ: {a.shape} vs {b.shape}")
@@ -173,17 +152,8 @@ def uniform_crossover(a: np.ndarray, b: np.ndarray, rng: RngStream,
     for i in range(d):
         mask[i] = rng.uniform() < 0.5
     child = np.where(mask, b, a).astype(np.uint8)
-    changed = frozenset(int(i) for i in np.flatnonzero(child != a))
-    unchanged = frozenset(range(d)) - changed
     boundaries = tuple(int(i) for i in range(1, d) if mask[i] != mask[i - 1])
-    record = CrossoverRecord(agent_id=agent_id, mask=mask, changed=changed,
-                             unchanged=unchanged, boundaries=boundaries)
-    return child, record
-
-
-def classify_behavior(record: CrossoverRecord) -> Behavior:
-    """Moving iff strictly more indexes changed than stayed; ties are motionless."""
-    return Behavior.MOVING if len(record.changed) > len(record.unchanged) else Behavior.MOTIONLESS
+    return child, CrossoverRecord(mask=mask, changed=child != a, boundaries=boundaries)
 
 
 def determine_predation_points(record: CrossoverRecord, rng: RngStream) -> frozenset[int]:
@@ -196,7 +166,7 @@ def determine_predation_points(record: CrossoverRecord, rng: RngStream) -> froze
     """
     d = record.mask.size
     s = rng.index(d)
-    if s in record.changed or not record.boundaries:
+    if record.changed[s] or not record.boundaries:
         return frozenset((s,))
     b = min(record.boundaries, key=lambda x: (abs(x - s), x))
     if s >= b:
@@ -213,13 +183,10 @@ def frog_snake_distance(frog: np.ndarray, snake: np.ndarray, max_dis: float) -> 
     return max_dis * (d - matches) / d
 
 
-def determine_order(distance: float, decision_dis: float) -> MoveOrder:
-    return MoveOrder.FIRST if distance <= decision_dis else MoveOrder.SECOND
-
-
-def avoidance_rate(order: MoveOrder, distance: float, params: FsroParams) -> float:
-    """Escape probability, linear in distance, clamped into [0, 1]."""
-    if order is MoveOrder.FIRST:
+def avoidance_rate(distance: float, params: FsroParams) -> float:
+    """Escape probability, clamped into [0, 1]: the (w1, d1) line up to
+    decision_dis, the (w2, d2) line beyond it."""
+    if distance <= params.decision_dis:
         raw = (params.w1 * distance + params.d1) / 100.0
     else:
         raw = (params.w2 * distance + params.d2) / 100.0
@@ -367,34 +334,23 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
     children = {}
     for a in frogs:
         mate = partner[a.id]
-        child, record = uniform_crossover(parents[a.id], parents[mate.id], rng, agent_id=a.id)
+        child, record = uniform_crossover(parents[a.id], parents[mate.id], rng)
         records[a.id] = record
         children[a.id] = repair_mask(child, rng)
     for a in frogs:
         a.solution = children[a.id]
-
-    # search phase: label each frog's behavior (diagnostic state)
-    behaviors = {a.id: classify_behavior(records[a.id]) for a in frogs}
 
     # approach phase: stake the predation points
     points = {a.id: determine_predation_points(records[a.id], rng) for a in frogs}
 
     # capture phase: each frog faces one random snake
     snakes = pop.snakes()
-    plans = []
+    pop.captured = False
     for a in frogs:
         foe = snakes[rng.index(len(snakes))]
         dist = frog_snake_distance(a.solution, foe.solution, params.max_dis)
-        order = determine_order(dist, params.decision_dis)
-        rate = avoidance_rate(order, dist, params)
-        new_solution, succeeded = capture(a, points[a.id], rate, rng)
-        a.solution = new_solution
-        plans.append(PredationPlan(
-            frog_id=a.id, snake_id=foe.id, behavior=behaviors[a.id],
-            predation_points=points[a.id], distance=dist, order=order,
-            avoidance_rate=rate, succeeded=succeeded,
-        ))
-    pop.predation_plans = plans
+        a.solution, succeeded = capture(a, points[a.id], avoidance_rate(dist, params), rng)
+        pop.captured |= succeeded
 
     _evaluate_agents(pop, evaluate)
 
@@ -425,7 +381,7 @@ def run_search(params: FsroParams, dim: int, evaluate, rng: RngStream) -> Search
             pop.global_best_fitness,
             len(pop.frogs()),
             len(pop.snakes()),
-            any(p.succeeded for p in pop.predation_plans),
+            pop.captured,
         ))
     return SearchOutcome(
         best_mask=pop.global_best_mask.copy(),

@@ -466,10 +466,8 @@ class FitnessEvaluator:
         finally:
             self._pending = []
 
-    def evaluate(self, mask: np.ndarray) -> float:
+    def __call__(self, mask: np.ndarray) -> float:
         return self.error_and_fitness(mask)[1]
-
-    __call__ = evaluate
 
     def error_and_fitness(self, mask: np.ndarray) -> tuple[float, float]:
         key = mask_key(mask)

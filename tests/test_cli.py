@@ -2,12 +2,14 @@
 precedence, and the `compare` and `gen` commands."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fsro import RngStream, generate_m_of_n
-from fsro.cli import main
+from fsro.bench import ALGORITHMS
+from fsro.cli import _algo_params, build_parser, main
 from fsro.data import load_csv
 
 TINY = ["--synthetic", "m-of-n:2,1,2,40", "--seed", "3", "--pop-size", "4"]
@@ -66,6 +68,72 @@ def test_config_file_values_apply_and_explicit_flags_win(tmp_path):
     assert {row[0] for row in runs[1:]} == {"ga"}  # algorithm from the file
     trace = _rows(out / "trace_3.csv")
     assert len(trace) == 1 + 2  # --iterations 1 beats the file's 3: rows 0 and 1
+
+
+@pytest.mark.parametrize("key", ["pop-size", "pop_size"])
+def test_config_keys_are_flag_names(key, tmp_path):
+    config = tmp_path / "fsro.cfg"
+    config.write_text(f"{key} = 6\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--synthetic", "m-of-n:2,1,2,40", "--seed", "3", "--runs", "1",
+            "--iterations", "1", "--config", str(config), "--out", str(out)]
+    assert main(argv) == 0
+    trace = _rows(out / "trace_3.csv")
+    assert trace[0][2:4] == ["frog_count", "snake_count"]
+    assert {int(row[2]) + int(row[3]) for row in trace[1:]} == {6}
+
+
+def test_config_key_naming_a_dest_exits_2(tmp_path, capsys):
+    config = tmp_path / "fsro.cfg"
+    config.write_text("population_size = 6\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run(["run", *TINY, "--config", str(config), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "unknown option 'population_size'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,line", [("run", "algorithm = nope"),
+                                          ("compare", "algorithms = fsro nope")])
+def test_unknown_algorithm_in_config_exits_2(command, line, tmp_path, capsys):
+    config = tmp_path / "fsro.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run([command, *TINY, "--runs", "2", "--iterations", "1",
+                      "--config", str(config), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: unknown algorithm 'nope'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [("", "compare needs --algorithms"),
+                                          ("algorithms = fsro", "algorithms takes 2 values")])
+def test_compare_without_two_algorithms_exits_2(line, message, tmp_path, capsys):
+    config = tmp_path / "fsro.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run(["compare", *TINY, "--config", str(config), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_algorithm_flag_sets_its_params_field(name):
+    # a misspelled dest would leave its field at the default without an error
+    cls = ALGORITHMS[name]
+    names = {f.name for f in fields(cls)}
+    parser, sub_map = build_parser()
+    argv, want = ["run", "--algorithm", name], {}
+    for action in sub_map["run"]._actions:
+        if action.dest in names:
+            value = action.default + 2 if action.type is int else action.default / 2
+            argv += [action.option_strings[0], str(value)]
+            want[action.dest] = value
+    params = _algo_params(parser.parse_args(argv), name)
+    assert set(want) == names - {"ess_threshold", "velocity_clamp"}
+    assert {f: getattr(params, f) for f in want} == want
+    assert all(want[f] != getattr(cls(), f) for f in want)
 
 
 def test_compare_exits_0_and_writes_its_files(tmp_path, capsys):

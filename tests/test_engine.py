@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from conftest import make_evaluator
 from fsro.core import ConfigError, Group, new_mask
 from fsro.engine import (
-    Behavior,
     CrossoverRecord,
     FsroParams,
-    MoveOrder,
     avoidance_rate,
     capture,
-    classify_behavior,
-    determine_order,
     determine_predation_points,
     ess_mutation,
     frog_snake_distance,
@@ -37,12 +33,11 @@ ONES6 = new_mask([1] * 6)
 
 def record_from(mask, changed, d):
     mask = np.asarray(mask, dtype=bool)
-    changed = frozenset(changed)
+    changed_bits = np.zeros(d, dtype=bool)
+    changed_bits[list(changed)] = True
     return CrossoverRecord(
-        agent_id=0,
         mask=mask,
-        changed=changed,
-        unchanged=frozenset(range(d)) - changed,
+        changed=changed_bits,
         boundaries=tuple(i for i in range(1, d) if mask[i] != mask[i - 1]),
     )
 
@@ -127,13 +122,13 @@ def test_uniform_hand_case():
     child, rec = uniform_crossover(ZEROS6, ONES6, RngStream(4))
     assert list(rec.mask) == [True, False, True, False, True, False]
     assert list(child) == [1, 0, 1, 0, 1, 0]
-    assert rec.changed == frozenset({0, 2, 4})
+    assert list(np.flatnonzero(rec.changed)) == [0, 2, 4]
 
 
 def test_uniform_identical_parents_changed_empty():
     child, rec = uniform_crossover(ONES6, ONES6, RngStream(5))
     assert np.array_equal(child, ONES6)
-    assert rec.changed == frozenset()
+    assert not rec.changed.any()
 
 
 def test_uniform_all_true_mask_returns_other_parent():
@@ -152,27 +147,9 @@ def test_uniform_membership_and_changed_set():
         b = new_mask(gen.integers(0, 2, size=d))
         child, rec = uniform_crossover(a, b, rng)
         assert all(child[i] in (a[i], b[i]) for i in range(d))
-        assert rec.changed == frozenset(int(i) for i in np.flatnonzero(child != a))
-        assert rec.changed | rec.unchanged == frozenset(range(d))
-        assert not rec.changed & rec.unchanged
+        assert rec.changed.dtype == bool
+        assert np.array_equal(rec.changed, child != a)
         assert all(1 <= bnd <= d - 1 for bnd in rec.boundaries)
-
-
-# --- search phase -----------------------------------------------------------
-
-def test_behavior_moving_when_majority_changed():
-    rec = record_from([True] * 7 + [False] * 6, range(7), 13)
-    assert classify_behavior(rec) is Behavior.MOVING
-
-
-def test_behavior_motionless_when_nothing_changed():
-    rec = record_from([False] * 6, (), 6)
-    assert classify_behavior(rec) is Behavior.MOTIONLESS
-
-
-def test_behavior_tie_is_motionless():
-    rec = record_from([True] * 5 + [False] * 5, range(5), 10)
-    assert classify_behavior(rec) is Behavior.MOTIONLESS
 
 
 # --- approach phase ---------------------------------------------------------
@@ -242,21 +219,24 @@ def test_distance_symmetric_and_bounded():
 
 
 def test_order_thresholds():
-    assert determine_order(0.0, 6.0) is MoveOrder.FIRST
-    assert determine_order(6.0, 6.0) is MoveOrder.FIRST
-    assert determine_order(6.1, 6.0) is MoveOrder.SECOND
+    # up to decision_dis (6) the (w1, d1) line applies, beyond it (w2, d2)
+    p = FsroParams()
+    assert avoidance_rate(0.0, p) == pytest.approx((0.75 * 0.0 + 40.0) / 100.0)
+    assert avoidance_rate(6.0, p) == pytest.approx((0.75 * 6.0 + 40.0) / 100.0)
+    assert avoidance_rate(6.1, p) == pytest.approx((1.0 * 6.1 + 20.0) / 100.0)
 
 
 def test_avoidance_rates():
     p = FsroParams()
-    assert avoidance_rate(MoveOrder.FIRST, 0.0, p) == pytest.approx(0.40)
-    assert avoidance_rate(MoveOrder.SECOND, 80.0, p) == pytest.approx(1.00)
-    assert avoidance_rate(MoveOrder.SECOND, 20.0, p) == pytest.approx(0.40)
+    assert avoidance_rate(0.0, p) == pytest.approx(0.40)
+    assert avoidance_rate(80.0, p) == pytest.approx(1.00)
+    assert avoidance_rate(20.0, p) == pytest.approx(0.40)
 
 
 def test_avoidance_rate_clamped():
-    p = FsroParams(w1=2.0, d1=90.0)
-    assert avoidance_rate(MoveOrder.FIRST, 80.0, p) == 1.0
+    # decision_dis=80 keeps distance 80 on the (w1, d1) line, which reads 2.5
+    p = FsroParams(w1=2.0, d1=90.0, decision_dis=80.0)
+    assert avoidance_rate(80.0, p) == 1.0
 
 
 def test_capture_certain_avoidance_never_flips():

@@ -146,16 +146,16 @@ def test_evaluator_bounds_and_cache(small_m_of_n):
         mask[rng.choice(small_m_of_n.n_features,
                         size=int(rng.integers(1, small_m_of_n.n_features + 1)),
                         replace=False)] = 1
-        first = evaluator.evaluate(mask)
+        first = evaluator(mask)
         assert 0.0 <= first <= 1.0
-        assert evaluator.evaluate(mask) == first
+        assert evaluator(mask) == first
 
 
 def test_evaluator_fresh_instance_bit_identical(small_m_of_n):
     e1, _ = make_evaluator(small_m_of_n, seed=5)
     e2, _ = make_evaluator(small_m_of_n, seed=5)
     mask = new_mask([1, 0, 1, 1])
-    assert e1.evaluate(mask) == e2.evaluate(mask)
+    assert e1(mask) == e2(mask)
     assert e1.error_and_fitness(mask) == e2.error_and_fitness(mask)
 
 
@@ -172,7 +172,7 @@ def test_evaluator_matches_standalone_error_rate(small_m_of_n):
 def test_evaluator_rejects_zero_mask(small_m_of_n):
     evaluator, _ = make_evaluator(small_m_of_n, seed=2)
     with pytest.raises(ValueError):
-        evaluator.evaluate(np.zeros(small_m_of_n.n_features, dtype=np.uint8))
+        evaluator(np.zeros(small_m_of_n.n_features, dtype=np.uint8))
 
 
 def _continuous_dataset():
@@ -430,7 +430,7 @@ def test_evaluate_all_rejects_zero_mask(small_m_of_n, config, monkeypatch):
     with pytest.raises(ValueError, match="all-zero mask"):
         evaluator.evaluate_all([zero])
     # the failed batch leaves nothing pending: a later call scores normally
-    assert evaluator.evaluate_all([ok]) == [evaluator.evaluate(ok)]
+    assert evaluator.evaluate_all([ok]) == [evaluator(ok)]
 
 
 @pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
