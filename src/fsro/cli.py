@@ -126,6 +126,8 @@ def cmd_compare(args) -> int:
     if args.algorithms is None:
         raise ConfigError("compare needs --algorithms ALGO_A ALGO_B")
     algo_a, algo_b = args.algorithms
+    if algo_a == algo_b:
+        raise ConfigError(f"compare needs two different algorithms, got {algo_a!r} twice")
     algo_params = {algo: _algo_params(args, algo) for algo in (algo_a, algo_b)}
     dataset = _load_dataset(args)
     fit_params = _fitness_params(args)
@@ -136,8 +138,6 @@ def cmd_compare(args) -> int:
                                 fit_params, args.runs, args.seed,
                                 workers=args.workers)
         results[algo] = res
-    if len(results[algo_a]) != len(results[algo_b]):
-        raise ConfigError("comparison needs equal run counts for pairing")
     fits_a = [r.best_fitness for r in results[algo_a]]
     fits_b = [r.best_fitness for r in results[algo_b]]
     p_value, decision = wilcoxon_signed_rank(fits_a, fits_b)

@@ -46,11 +46,14 @@ def mask_string(mask: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in mask)
 
 
-@dataclass
+@dataclass(eq=False)
 class Agent:
-    """One search agent: a mask plus its current and previous fitness."""
+    """One search agent: a mask plus its current and previous fitness.
 
-    id: int
+    Agents have no identity number: an agent is its object (equality is
+    identity), and its age is its place in `PopulationState.agents`.
+    """
+
     solution: np.ndarray
     group: Group
     fitness: float | None = None
@@ -64,6 +67,11 @@ class PopulationState:
     Invariants kept by the engine: frog_share + snake_share == 1 (within fp),
     len(agents) is constant, both groups are non-empty after every step, and
     global_best_fitness never increases.
+
+    `agents` is in age order: `initialize` creates it in order, and
+    `ess_mutation` appends each clone at the end and removes a donor without
+    moving the rest. That order is the tie rule: among equally fit agents the
+    earliest in the list is relabelled or dropped first.
     """
 
     agents: list[Agent]
@@ -72,7 +80,6 @@ class PopulationState:
     iteration: int
     global_best_mask: np.ndarray | None = None
     global_best_fitness: float | None = None
-    next_agent_id: int = 0
     # whether any capture in the most recent step succeeded
     captured: bool = False
 

@@ -130,8 +130,11 @@ def _read_rows(reader, path: str, label_column: int | str, has_header: bool):
             label_idx = header.index(label_column)
         except ValueError:
             raise ConfigError(f"label column {label_column!r} not in header {header}")
-    else:
+    elif -n_cols <= label_column < n_cols:
         label_idx = label_column % n_cols
+    else:
+        raise DataError(f"{path}: label column {label_column} is out of range "
+                        f"for {n_cols} columns")
 
     first_missing: tuple[int, int] | None = None
     bad_rows = 0

@@ -7,6 +7,10 @@ random snake, evaluation of every agent, a replicator-dynamics share update
 that regroups agents, and a mutation that reseeds any near-extinct group with
 the best solution found so far.
 
+Crossover partners are paired by position: a group's positions are shuffled
+and taken two at a time. Agents carry no identity number; the population
+list is in age order, and that order breaks fitness ties.
+
 The stream is consumed in a fixed order so runs replay exactly: group
 shuffle, then per-agent crossover draws in agent-list order (snakes before
 frogs), then the approach draw per frog, then capture draws per frog
@@ -83,12 +87,12 @@ class CrossoverRecord:
 
     mask[i] is True where the child took the partner's bit; changed[i] is True
     where the child actually differs from this parent; boundaries are the mask
-    flip positions (i >= 1 with mask[i] != mask[i-1]).
+    flip positions (i >= 1 with mask[i] != mask[i-1]), ascending.
     """
 
     mask: np.ndarray
     changed: np.ndarray
-    boundaries: tuple[int, ...]
+    boundaries: np.ndarray
 
 
 def repair_mask(mask: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -111,16 +115,9 @@ def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
     if dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {dim}")
     n = params.population_size
-    agents = [Agent(id=i, solution=random_mask(dim, rng),
-                    group=Group.FROG if i < n // 2 else Group.SNAKE)
+    agents = [Agent(random_mask(dim, rng), Group.FROG if i < n // 2 else Group.SNAKE)
               for i in range(n)]
-    return PopulationState(
-        agents=agents,
-        frog_share=0.5,
-        snake_share=0.5,
-        iteration=0,
-        next_agent_id=n,
-    )
+    return PopulationState(agents=agents, frog_share=0.5, snake_share=0.5, iteration=0)
 
 
 def two_point_crossover(a: np.ndarray, b: np.ndarray,
@@ -152,26 +149,26 @@ def uniform_crossover(a: np.ndarray, b: np.ndarray,
     for i in range(d):
         mask[i] = rng.uniform() < 0.5
     child = np.where(mask, b, a).astype(np.uint8)
-    boundaries = tuple(int(i) for i in range(1, d) if mask[i] != mask[i - 1])
+    boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
     return child, CrossoverRecord(mask=mask, changed=child != a, boundaries=boundaries)
 
 
-def determine_predation_points(record: CrossoverRecord, rng: RngStream) -> frozenset[int]:
-    """Pick the solution indexes at stake in this frog's capture standoff.
+def determine_predation_points(record: CrossoverRecord, rng: RngStream) -> range:
+    """Pick the contiguous block of solution indexes at stake in this frog's
+    capture standoff.
 
     A random index that was changed by the crossover stakes just itself
     (escape); an unchanged index stakes the whole block from the nearest mask
-    boundary to the string end on its own side (immobility). Without any
-    boundary the single index is staked.
+    boundary to the string end on its own side (immobility), the lower of two
+    equally near boundaries winning. Without any boundary the single index is
+    staked.
     """
     d = record.mask.size
     s = rng.index(d)
-    if record.changed[s] or not record.boundaries:
-        return frozenset((s,))
-    b = min(record.boundaries, key=lambda x: (abs(x - s), x))
-    if s >= b:
-        return frozenset(range(b, d))
-    return frozenset(range(0, b))
+    if record.changed[s] or record.boundaries.size == 0:
+        return range(s, s + 1)
+    b = int(record.boundaries[np.argmin(np.abs(record.boundaries - s))])
+    return range(b, d) if s >= b else range(0, b)
 
 
 def frog_snake_distance(frog: np.ndarray, snake: np.ndarray, max_dis: float) -> float:
@@ -193,15 +190,14 @@ def avoidance_rate(distance: float, params: FsroParams) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def capture(frog: Agent, points: frozenset[int], rate: float,
+def capture(solution: np.ndarray, stake: range, rate: float,
             rng: RngStream) -> tuple[np.ndarray, bool]:
     """Attempt the capture: with probability 1 - rate the staked bits flip."""
     succeeded = rng.uniform() < (1.0 - rate)
     if not succeeded:
-        return frog.solution, False
-    flipped = frog.solution.copy()
-    idx = np.fromiter(points, dtype=np.int64)
-    flipped[idx] ^= 1
+        return solution, False
+    flipped = solution.copy()
+    flipped[stake.start:stake.stop] ^= 1
     repair_mask(flipped, rng)
     return flipped, True
 
@@ -238,8 +234,8 @@ def replicator_update(shares: tuple[float, float], payoffs: tuple[float, float],
 
 
 def _worst_first(agents: list[Agent]) -> list[Agent]:
-    # worst (largest) fitness first; ties broken by lower agent id
-    return sorted(agents, key=lambda a: (-a.fitness, a.id))
+    # worst (largest) fitness first; the stable sort keeps ties in age order
+    return sorted(agents, key=lambda a: -a.fitness)
 
 
 def resize_groups(pop: PopulationState, new_shares: tuple[float, float]) -> PopulationState:
@@ -267,34 +263,38 @@ def ess_mutation(pop: PopulationState, ess_threshold: int = 2) -> PopulationStat
         if sizes[group] > ess_threshold:
             continue
         other = Group.SNAKE if group is Group.FROG else Group.FROG
-        clone = Agent(
-            id=pop.next_agent_id,
-            solution=pop.global_best_mask.copy(),
-            group=group,
-            fitness=pop.global_best_fitness,
-            prev_fitness=pop.global_best_fitness,
-        )
-        pop.next_agent_id += 1
-        pop.agents.append(clone)
+        pop.agents.append(Agent(pop.global_best_mask.copy(), group,
+                                fitness=pop.global_best_fitness,
+                                prev_fitness=pop.global_best_fitness))
         donors = [a for a in pop.agents if a.group is other]
         if len(donors) > 1:
             pop.agents.remove(_worst_first(donors)[0])
     return pop
 
 
-def _pairing(group: list[Agent], rng: RngStream) -> dict[int, Agent]:
-    """Random disjoint pairs; with an odd count the leftover pairs with the
-    first shuffled agent, and a singleton group pairs with itself."""
-    order = list(group)
+def _crossover(group: list[Agent], cross, rng: RngStream) -> list:
+    """Cross every agent with its partner and keep the repaired child.
+
+    The group's positions are shuffled and paired two at a time; with an odd
+    count the leftover pairs with the first shuffled position, so a singleton
+    pairs with itself. Then, in group order, each agent crosses with its
+    partner's parent solution (never a child) and draws its repair. Returns
+    cross's second output per agent, in group order.
+    """
+    order = list(range(len(group)))
     rng.shuffle(order)
-    partner: dict[int, Agent] = {}
+    partner = [0] * len(order)
     for i in range(0, len(order) - 1, 2):
-        partner[order[i].id] = order[i + 1]
-        partner[order[i + 1].id] = order[i]
+        partner[order[i]], partner[order[i + 1]] = order[i + 1], order[i]
     if len(order) % 2 == 1:
-        leftover = order[-1]
-        partner[leftover.id] = order[0] if len(order) > 1 else leftover
-    return partner
+        partner[order[-1]] = order[0]
+    parents = [a.solution for a in group]
+    records = []
+    for a, mate in zip(group, partner):
+        child, record = cross(a.solution, parents[mate], rng)
+        a.solution = repair_mask(child, rng)
+        records.append(record)
+    return records
 
 
 def _evaluate_agents(pop: PopulationState, evaluate) -> None:
@@ -313,43 +313,23 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
 
     # snakes explore by two-point crossover (skipped for 1-bit solutions,
     # where no point pair exists)
-    snakes = pop.snakes()
-    dim = pop.agents[0].solution.size
-    if dim >= 2:
-        partner = _pairing(snakes, rng)
-        parents = {a.id: a.solution for a in snakes}
-        children = {}
-        for a in snakes:
-            mate = partner[a.id]
-            child, _ = two_point_crossover(parents[a.id], parents[mate.id], rng)
-            children[a.id] = repair_mask(child, rng)
-        for a in snakes:
-            a.solution = children[a.id]
+    if pop.agents[0].solution.size >= 2:
+        _crossover(pop.snakes(), two_point_crossover, rng)
 
     # frogs exploit by uniform crossover, keeping records for the hunt
     frogs = pop.frogs()
-    partner = _pairing(frogs, rng)
-    parents = {a.id: a.solution for a in frogs}
-    records: dict[int, CrossoverRecord] = {}
-    children = {}
-    for a in frogs:
-        mate = partner[a.id]
-        child, record = uniform_crossover(parents[a.id], parents[mate.id], rng)
-        records[a.id] = record
-        children[a.id] = repair_mask(child, rng)
-    for a in frogs:
-        a.solution = children[a.id]
+    records = _crossover(frogs, uniform_crossover, rng)
 
     # approach phase: stake the predation points
-    points = {a.id: determine_predation_points(records[a.id], rng) for a in frogs}
+    stakes = [determine_predation_points(record, rng) for record in records]
 
     # capture phase: each frog faces one random snake
     snakes = pop.snakes()
     pop.captured = False
-    for a in frogs:
+    for a, stake in zip(frogs, stakes):
         foe = snakes[rng.index(len(snakes))]
         dist = frog_snake_distance(a.solution, foe.solution, params.max_dis)
-        a.solution, succeeded = capture(a, points[a.id], avoidance_rate(dist, params), rng)
+        a.solution, succeeded = capture(a.solution, stake, avoidance_rate(dist, params), rng)
         pop.captured |= succeeded
 
     _evaluate_agents(pop, evaluate)
@@ -369,20 +349,19 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
     return pop
 
 
+def _trace_row(pop: PopulationState) -> TraceRow:
+    return TraceRow(pop.iteration, pop.global_best_fitness,
+                    len(pop.frogs()), len(pop.snakes()), pop.captured)
+
+
 def run_search(params: FsroParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
     """Full run: initialize, evaluate, iterate; trace has max_iterations+1 rows."""
     pop = initialize(params, dim, rng)
     _evaluate_agents(pop, evaluate)
-    trace = [TraceRow(0, pop.global_best_fitness, len(pop.frogs()), len(pop.snakes()), False)]
+    trace = [_trace_row(pop)]
     for _ in range(params.max_iterations):
         step(pop, params, evaluate, rng)
-        trace.append(TraceRow(
-            pop.iteration,
-            pop.global_best_fitness,
-            len(pop.frogs()),
-            len(pop.snakes()),
-            pop.captured,
-        ))
+        trace.append(_trace_row(pop))
     return SearchOutcome(
         best_mask=pop.global_best_mask.copy(),
         best_fitness=pop.global_best_fitness,

@@ -40,6 +40,17 @@ def test_non_utf8_dataset_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_label_column_out_of_range_exits_2(tmp_path, capsys):
+    data = tmp_path / "abc.csv"
+    data.write_text("a,b,c\n0,1,0\n1,3,1\n0,5,0\n1,7,1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run(["run", "--dataset", str(data), "--label-column", "3",
+                      "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "3 columns" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_fewer_than_one_worker_exits_2(command, workers, tmp_path, capsys):
@@ -115,6 +126,15 @@ def test_compare_without_two_algorithms_exits_2(line, message, tmp_path, capsys)
     code, err = _run(["compare", *TINY, "--config", str(config), "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_compare_one_algorithm_twice_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, err = _run(["compare", *TINY, "--runs", "2", "--iterations", "1",
+                      "--algorithms", "ga", "ga", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: compare needs two different algorithms")
     assert not out.exists()
 
 

@@ -229,6 +229,16 @@ def test_label_column_in_the_middle(tmp_path):
     assert ds.feature_names == ["a", "b"]
 
 
+def test_label_column_index_out_of_range_is_a_data_error(tmp_path):
+    # a wrapped index would read column a as the label and keep b, c
+    p = write(tmp_path, "a,b,c\n0,1,0\n1,3,1\n0,5,0\n1,7,1\n")
+    for label_column in (3, -4, 10):
+        with pytest.raises(DataError, match=rf"label column {label_column} .*3 columns"):
+            load_csv(p, label_column=label_column)
+    assert load_csv(p, label_column=2).feature_names == ["a", "b"]
+    assert load_csv(p, label_column=-3).feature_names == ["b", "c"]
+
+
 def test_missing_file_is_a_data_error_naming_the_path(tmp_path):
     p = tmp_path / "absent.csv"
     with pytest.raises(DataError, match=r"absent\.csv: cannot open file"):

@@ -9,6 +9,7 @@ from conftest import make_evaluator
 from fsro.core import ConfigError, Group, new_mask
 from fsro.engine import (
     CrossoverRecord,
+    _crossover,
     FsroParams,
     avoidance_rate,
     capture,
@@ -38,7 +39,7 @@ def record_from(mask, changed, d):
     return CrossoverRecord(
         mask=mask,
         changed=changed_bits,
-        boundaries=tuple(i for i in range(1, d) if mask[i] != mask[i - 1]),
+        boundaries=np.flatnonzero(mask[1:] != mask[:-1]) + 1,
     )
 
 
@@ -157,37 +158,37 @@ def test_uniform_membership_and_changed_set():
 def test_predation_escape_selects_single_index():
     # seed 0 draws s=2 from index(6)
     rec = record_from([True, False, True, False, True, False], {0, 2, 4}, 6)
-    assert determine_predation_points(rec, RngStream(0)) == frozenset({2})
+    assert set(determine_predation_points(rec, RngStream(0))) == {2}
 
 
 def test_predation_immobile_selects_block_to_end():
     # mask 111000 has its only boundary at 3; seed 2 draws s=5, an unchanged
     # index, so the staked block is [3, 6)
     rec = record_from([True, True, True, False, False, False], {0, 1, 2}, 6)
-    assert determine_predation_points(rec, RngStream(2)) == frozenset({3, 4, 5})
+    assert set(determine_predation_points(rec, RngStream(2))) == {3, 4, 5}
 
 
 def test_predation_immobile_selects_block_before_boundary():
     # seed 1 draws s=1; nearest boundary 3 lies above s, so stake [0, 3)
     rec = record_from([False, False, False, True, True, True], {3, 4, 5}, 6)
-    assert determine_predation_points(rec, RngStream(1)) == frozenset({0, 1, 2})
+    assert set(determine_predation_points(rec, RngStream(1))) == {0, 1, 2}
 
 
 def test_predation_no_boundary_falls_back_to_single_index():
     rec = record_from([False] * 6, (), 6)
     s = RngStream(9).index(6)
-    assert determine_predation_points(rec, RngStream(9)) == frozenset({s})
+    assert set(determine_predation_points(rec, RngStream(9))) == {s}
 
 
 def test_predation_boundary_tie_prefers_smaller():
     # boundaries at 2 and 6; from s=4 both are distance 2 away
     rec = record_from([True, True, False, False, False, False, True, True], {0, 1, 6, 7}, 8)
-    assert rec.boundaries == (2, 6)
+    assert tuple(rec.boundaries) == (2, 6)
     # seed 19 draws s=4 from index(8)? verify, else find: s must be 4
     for seed in range(200):
         if RngStream(seed).index(8) == 4:
             points = determine_predation_points(rec, RngStream(seed))
-            assert points == frozenset({2, 3, 4, 5, 6, 7})
+            assert set(points) == {2, 3, 4, 5, 6, 7}
             break
     else:
         pytest.fail("no seed drawing s=4 found")
@@ -240,31 +241,32 @@ def test_avoidance_rate_clamped():
 
 
 def test_capture_certain_avoidance_never_flips():
-    frog = Agent(0, new_mask([1, 0, 1, 0]), Group.FROG)
+    frog = new_mask([1, 0, 1, 0])
     for seed in range(50):
-        sol, ok = capture(frog, frozenset({0, 3}), 1.0, RngStream(seed))
+        sol, ok = capture(frog, range(2, 4), 1.0, RngStream(seed))
         assert not ok
-        assert sol is frog.solution
+        assert sol is frog
 
 
 def test_capture_certain_success_flips_points():
-    frog = Agent(0, new_mask([1, 0, 1, 0]), Group.FROG)
-    sol, ok = capture(frog, frozenset({0, 3}), 0.0, RngStream(1))
+    # a stake is one contiguous block; [2, 4) flips the last two bits
+    frog = new_mask([1, 0, 1, 0])
+    sol, ok = capture(frog, range(2, 4), 0.0, RngStream(1))
     assert ok
-    assert list(sol) == [0, 0, 1, 1]
-    assert list(frog.solution) == [1, 0, 1, 0]
+    assert list(sol) == [1, 0, 0, 1]
+    assert list(frog) == [1, 0, 1, 0]
 
 
 def test_capture_full_inversion():
-    frog = Agent(0, new_mask([1, 0, 1, 0]), Group.FROG)
-    sol, ok = capture(frog, frozenset({0, 1, 2, 3}), 0.0, RngStream(1))
+    frog = new_mask([1, 0, 1, 0])
+    sol, ok = capture(frog, range(0, 4), 0.0, RngStream(1))
     assert ok
     assert list(sol) == [0, 1, 0, 1]
 
 
 def test_capture_repairs_all_zero_result():
-    frog = Agent(0, new_mask([1, 1]), Group.FROG)
-    sol, ok = capture(frog, frozenset({0, 1}), 0.0, RngStream(1))
+    frog = new_mask([1, 1])
+    sol, ok = capture(frog, range(0, 2), 0.0, RngStream(1))
     assert ok
     assert sol.sum() == 1
 
@@ -333,11 +335,21 @@ def make_population(n_frogs, n_snakes, fitnesses=None):
     for i in range(n_frogs + n_snakes):
         group = Group.FROG if i < n_frogs else Group.SNAKE
         fit = fitnesses[i] if fitnesses else i / 100.0
-        agents.append(Agent(i, new_mask([1, 0, 1]), group, fitness=fit, prev_fitness=fit))
+        agents.append(Agent(new_mask([1, 0, 1]), group, fitness=fit, prev_fitness=fit))
     n = n_frogs + n_snakes
     return PopulationState(agents=agents, frog_share=n_frogs / n, snake_share=n_snakes / n,
                            iteration=0, global_best_mask=new_mask([1, 0, 1]),
-                           global_best_fitness=0.0, next_agent_id=n)
+                           global_best_fitness=0.0)
+
+
+def same_agents(xs, ys):
+    """The same agent objects in the same order."""
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+def ages(agents, start):
+    """Each agent's place in `start` by identity; None for one not in it."""
+    return [next((i for i, b in enumerate(start) if b is a), None) for a in agents]
 
 
 def test_resize_balanced():
@@ -353,6 +365,18 @@ def test_resize_grows_frogs_from_worst_snakes():
     assert len(pop.frogs()) == 24
     assert len(pop.snakes()) == 16
     assert all(a.group is Group.FROG for a in worst_snakes)
+
+
+def test_resize_relabels_the_earliest_of_equally_fit_agents_first():
+    pop = make_population(20, 20, fitnesses=[0.5] * 40)
+    snakes = pop.snakes()
+    resize_groups(pop, (0.6, 0.4))
+    assert same_agents([a for a in snakes if a.group is Group.FROG], snakes[:4])
+
+    pop = make_population(20, 20, fitnesses=[0.5] * 40)
+    frogs = pop.frogs()
+    resize_groups(pop, (0.4, 0.6))
+    assert same_agents([a for a in frogs if a.group is Group.SNAKE], frogs[:4])
 
 
 def test_resize_clamps_to_keep_one_snake():
@@ -373,11 +397,19 @@ def test_ess_reseeds_small_group():
     assert len(pop.agents) == 40
 
 
+def test_ess_drops_the_earliest_of_equally_fit_donors():
+    pop = make_population(2, 38, fitnesses=[0.5] * 40)
+    frogs, snakes = pop.frogs(), pop.snakes()
+    ess_mutation(pop, 2)
+    assert same_agents(pop.snakes(), snakes[1:])
+    assert same_agents(pop.agents[:-1], frogs + snakes[1:])
+
+
 def test_ess_leaves_balanced_groups_alone():
     pop = make_population(20, 20)
-    before = [a.id for a in pop.agents]
+    before = list(pop.agents)
     ess_mutation(pop, 2)
-    assert [a.id for a in pop.agents] == before
+    assert same_agents(pop.agents, before)
 
 
 def test_ess_covers_single_member_group():
@@ -408,6 +440,46 @@ def test_ess_below_twice_the_threshold_cannot_lift_the_thin_group():
     pop = make_population(1, 3)
     ess_mutation(pop, 3)
     assert (len(pop.frogs()), len(pop.snakes())) == (1, 3)
+
+
+# --- pairing ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_crossover_pairs_shuffled_positions(n):
+    d = 4
+    for seed in range(8):
+        # distinct parents, so each call names the partner it crossed with
+        group = [Agent(new_mask([(i + 1) >> k & 1 for k in range(d)]), Group.FROG)
+                 for i in range(n)]
+        parents = [a.solution for a in group]
+        calls = []
+
+        def cross(a, b, rng):
+            calls.append((a, b, rng.uniform()))
+            # an all-zero child, so every agent also draws its repair
+            return np.zeros_like(a), len(calls) - 1
+
+        rng = RngStream(seed)
+        records = _crossover(group, cross, rng)
+        assert records == list(range(n))
+        assert all(a is parent for (a, _, _), parent in zip(calls, parents))
+        partner = [next(j for j, p in enumerate(parents) if p is b) for _, b, _ in calls]
+
+        replay = RngStream(seed)
+        order = list(range(n))
+        replay.shuffle(order)
+        for i in range(0, n - 1, 2):
+            assert (partner[order[i]], partner[order[i + 1]]) == (order[i + 1], order[i])
+        if n % 2 == 1:
+            assert partner[order[-1]] == order[0]
+        if n == 1:
+            assert partner == [0]
+        # after the one shuffle, each agent draws its crossover then its
+        # repair, in group order, and keeps the repaired child
+        for i, a in enumerate(group):
+            assert calls[i][2] == replay.uniform()
+            assert list(a.solution) == list(np.eye(d, dtype=np.uint8)[replay.index(d)])
+        assert rng.uniform() == replay.uniform()
 
 
 # --- step / run -------------------------------------------------------------
@@ -450,10 +522,11 @@ def test_step_deterministic_from_same_state():
     pop_a.global_best_fitness = min(a.fitness for a in pop_a.agents)
     pop_a.global_best_mask = pop_a.agents[0].solution.copy()
     pop_b = copy.deepcopy(pop_a)
+    start_a, start_b = list(pop_a.agents), list(pop_b.agents)
     step(pop_a, params, count_ones_fitness, RngStream(77))
     step(pop_b, params, count_ones_fitness, RngStream(77))
     assert pop_a.frog_share == pop_b.frog_share
-    assert [a.id for a in pop_a.agents] == [b.id for b in pop_b.agents]
+    assert ages(pop_a.agents, start_a) == ages(pop_b.agents, start_b)
     for x, y in zip(pop_a.agents, pop_b.agents):
         assert np.array_equal(x.solution, y.solution)
         assert x.fitness == y.fitness
@@ -519,8 +592,14 @@ def test_step_keeps_population_state_invariants(seed, population, dim, iteration
     pop.global_best_mask = pop.agents[fits.index(min(fits))].solution.copy()
     for _ in range(iterations):
         best = pop.global_best_fitness
+        before = list(pop.agents)
         step(pop, params, mismatch_fitness, rng)
         assert abs(pop.frog_share + pop.snake_share - 1.0) < 1e-12
         assert len(pop.agents) == population
         assert pop.frogs() and pop.snakes()
         assert pop.global_best_fitness <= best
+        # age order: survivors keep their relative order, clones come last
+        order = ages(pop.agents, before)
+        kept = [i for i in order if i is not None]
+        assert kept == sorted(kept)
+        assert order == kept + [None] * (len(order) - len(kept))
