@@ -9,6 +9,14 @@ of its draws. GA scores its offspring together once they are all bred.
 BPSO defers its personal-best updates until the swarm's batch is scored;
 that changes nothing, because particle i's velocity reads only its own
 pbest[i] and the gbest from the start of the sweep.
+
+Both draw their initial population with `engine.random_masks`, and BPSO
+draws its whole sweep with `engine.draw_rows`: one speculative block for
+all remaining particles, and at the first all-zero position the stream goes
+back to that particle's end, its repair draw runs, and the particles after
+it are drawn again. The draw order is still the one `bpso_step` documents.
+The velocity update runs in numpy, one ufunc per Python float operation and
+in the same order, so every element rounds as the scalar expression did.
 """
 
 from __future__ import annotations
@@ -19,8 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, SearchOutcome, TraceRow
-from .engine import random_mask, repair_mask
-from .rng import RngStream
+from .engine import draw_rows, random_masks, repair_mask
+from .rng import RngStream, uniforms
+
+# relative distance from the sigmoid threshold inside which a sampling
+# uniform is compared again against math.exp's sigmoid; np.exp is
+# within a few ulp (2**-52 each) of it
+SIGMOID_BAND = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,21 @@ def sigmoid_transfer(v: float) -> float:
     return 1.0 / (1.0 + math.exp(-v))
 
 
+def _sample_bits(velocity: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u < sigmoid_transfer(velocity), elementwise, as uint8 bits.
+
+    np.exp screens every element; one within SIGMOID_BAND of its threshold,
+    or whose exp overflowed, is decided again with sigmoid_transfer itself.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(-velocity)
+    p = 1.0 / (1.0 + e)
+    take = u < p
+    for i in zip(*np.nonzero((np.abs(u - p) <= SIGMOID_BAND * p) | np.isinf(e))):
+        take[i] = u[i] < sigmoid_transfer(velocity[i])
+    return take.astype(np.uint8)
+
+
 def _tournament(fitness: list[float], rng: RngStream) -> int:
     """Binary tournament without replacement; the first pick wins ties."""
     i = rng.index(len(fitness))
@@ -110,7 +138,7 @@ def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams
 
 
 def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
-    population = [random_mask(dim, rng) for _ in range(params.population_size)]
+    population = random_masks(params.population_size, dim, rng)
     fitness = evaluate(population)
     best = min(range(len(fitness)), key=lambda i: (fitness[i], i))
     best_mask, best_fit = population[best].copy(), fitness[best]
@@ -125,6 +153,38 @@ def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcom
     return SearchOutcome(best_mask=best_mask, best_fitness=best_fit, trace=trace)
 
 
+def _fly(positions: list[np.ndarray], velocities: list[np.ndarray],
+         pbest: list[np.ndarray], gbest: np.ndarray, params: BpsoParams,
+         rng: RngStream) -> None:
+    """The sweep's draws: every particle's new velocity and position, in place.
+
+    Kept apart from bpso_step, so its arrays are freed before the batch is
+    scored.
+    """
+    w, c1, c2 = params.inertia_weight, params.cognitive_factor, params.social_factor
+    clamp = params.velocity_clamp
+    dim = gbest.size
+    x = np.array(positions, dtype=np.float64)
+    v = np.array(velocities, dtype=np.float64)
+    to_pbest = np.array(pbest, dtype=np.float64) - x
+    to_gbest = gbest.astype(np.float64) - x
+
+    def sweep(first, raws):
+        # (w*v + c1*r1*(pbest - x)) + c2*r2*(gbest - x), as the scalar form
+        rows = slice(first, first + len(raws))
+        r = uniforms(raws)
+        vel = w * v[rows]
+        vel += c1 * r[:, 0:2 * dim:2] * to_pbest[rows]
+        vel += c2 * r[:, 1:2 * dim:2] * to_gbest[rows]
+        np.clip(vel, -clamp, clamp, out=vel)
+        return _sample_bits(vel, r[:, 2 * dim:]), vel
+
+    new_x, new_v = draw_rows(rng, len(positions), 3 * dim, sweep)
+    for i in range(len(positions)):
+        positions[i][:] = new_x[i]
+        velocities[i][:] = new_v[i]
+
+
 def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
               pbest: list[np.ndarray], pbest_fit: list[float],
               gbest: np.ndarray, gbest_fit: float,
@@ -132,24 +192,11 @@ def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
     """One synchronous swarm sweep: velocities first, then sigmoid resampling,
     then one batch evaluation and the personal- and global-best updates.
 
-    Per particle and per dimension the draw order is the cognitive uniform,
-    the social uniform, then one sampling uniform per dimension.
+    Per particle, the draw order is the cognitive and then the social
+    uniform for each dimension, one sampling uniform per dimension, and the
+    repair draw if the new position is all-zero.
     """
-    w, c1, c2 = params.inertia_weight, params.cognitive_factor, params.social_factor
-    clamp = params.velocity_clamp
-    dim = gbest.size
-    for i, x in enumerate(positions):
-        v = velocities[i]
-        for d in range(dim):
-            r1 = rng.uniform()
-            r2 = rng.uniform()
-            vd = (w * v[d]
-                  + c1 * r1 * (float(pbest[i][d]) - float(x[d]))
-                  + c2 * r2 * (float(gbest[d]) - float(x[d])))
-            v[d] = min(max(vd, -clamp), clamp)
-        for d in range(dim):
-            x[d] = 1 if rng.uniform() < sigmoid_transfer(v[d]) else 0
-        repair_mask(x, rng)
+    _fly(positions, velocities, pbest, gbest, params, rng)
     for i, (x, fit) in enumerate(zip(positions, evaluate(positions))):
         if fit < pbest_fit[i]:
             pbest_fit[i] = fit
@@ -162,7 +209,7 @@ def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
 
 
 def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
-    positions = [random_mask(dim, rng) for _ in range(params.population_size)]
+    positions = random_masks(params.population_size, dim, rng)
     velocities = [np.zeros(dim) for _ in range(params.population_size)]
     pbest = [x.copy() for x in positions]
     pbest_fit = evaluate(positions)

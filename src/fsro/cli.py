@@ -44,12 +44,7 @@ def _load_dataset(args) -> Dataset:
         return generate_m_of_n(n_relevant, m, n_noise, n_instances, RngStream(args.seed))
     if not args.dataset:
         raise ConfigError("either --dataset or --synthetic is required")
-    label = args.label_column
-    try:
-        label = int(label)
-    except ValueError:
-        pass
-    return load_csv(args.dataset, label_column=label, has_header=not args.no_header)
+    return load_csv(args.dataset, label_column=args.label_column, has_header=not args.no_header)
 
 
 def _algo_params(args, algorithm: str):

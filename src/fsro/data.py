@@ -66,6 +66,9 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
              name: str | None = None) -> Dataset:
     """Load a numeric-feature CSV with one label column.
 
+    label_column is an index, or a header name; a name the header lacks is
+    read as an index when it is integer text, as the CLI passes it.
+
     Rows containing missing cells (empty, '?', 'NA', 'NaN') are an error, as
     are non-numeric feature cells; the error names the offending position and
     counts how many rows were affected. A file that cannot be opened or is
@@ -123,18 +126,7 @@ def _read_rows(reader, path: str, label_column: int | str, has_header: bool):
             raise DataError(f"{path}: no data rows after the header")
 
     n_cols = len(first)
-    if isinstance(label_column, str):
-        if header is None:
-            raise ConfigError("label column given by name requires a header row")
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ConfigError(f"label column {label_column!r} not in header {header}")
-    elif -n_cols <= label_column < n_cols:
-        label_idx = label_column % n_cols
-    else:
-        raise DataError(f"{path}: label column {label_column} is out of range "
-                        f"for {n_cols} columns")
+    label_idx = _label_index(label_column, header, n_cols, path)
 
     first_missing: tuple[int, int] | None = None
     bad_rows = 0
@@ -164,6 +156,25 @@ def _read_rows(reader, path: str, label_column: int | str, has_header: bool):
         )
     features = np.frombuffer(values, dtype=np.float64).reshape(len(label_tokens), n_cols - 1)
     return features, label_tokens, header, label_idx
+
+
+def _label_index(label_column: int | str, header: list[str] | None, n_cols: int,
+                 path: str) -> int:
+    """A string names a header column; one the header lacks is an index if
+    it parses as an integer, so a column named "2020" is chosen by name."""
+    if isinstance(label_column, str):
+        if header is not None and label_column in header:
+            return header.index(label_column)
+        try:
+            label_column = int(label_column)
+        except ValueError:
+            if header is None:
+                raise ConfigError("label column given by name requires a header row")
+            raise ConfigError(f"label column {label_column!r} not in header {header}")
+    if -n_cols <= label_column < n_cols:
+        return label_column % n_cols
+    raise DataError(f"{path}: label column {label_column} is out of range "
+                    f"for {n_cols} columns")
 
 
 def _parses(cell: str) -> bool:
@@ -222,12 +233,11 @@ def generate_m_of_n(n_relevant: int, m: int, n_noise: int, n_instances: int,
     if n_noise < 0 or n_instances < 4:
         raise ConfigError("need n_noise >= 0 and at least 4 instances")
     d = n_relevant + n_noise
-    features = np.empty((n_instances, d), dtype=np.float64)
-    labels = np.empty(n_instances, dtype=np.int64)
-    for i in range(n_instances):
-        bits = [rng.bit() for _ in range(d)]
-        features[i] = bits
-        labels[i] = 1 if sum(bits[:n_relevant]) >= m else 0
+    # row by row, one bit() per feature; no draw is conditional, so the
+    # whole table is one block, and a bit is raw & 1 since bit() never rejects
+    bits = (rng.raws(n_instances * d) & 1).reshape(n_instances, d)
+    features = bits.astype(np.float64)
+    labels = (bits[:, :n_relevant].sum(axis=1) >= m).astype(np.int64)
     name = f"m-of-n-{n_relevant}-{m}-{n_noise}-{n_instances}"
     _validate_classes(labels, name)
     names = [f"rel{i}" for i in range(n_relevant)] + [f"noise{i}" for i in range(n_noise)]

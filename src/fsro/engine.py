@@ -18,6 +18,13 @@ frogs), then the approach draw per frog, then capture draws per frog
 solution comes out all-zero. No draws occur during evaluation or the share
 update.
 
+Row-wise draws come in speculative blocks (`draw_rows`): the initial
+population's bits, and the frog group's uniform crossovers after the
+shuffle, are drawn as one `RngStream.raws` block for all remaining rows. If
+a row's mask comes out all-zero, the stream goes back to that row's end, its
+repair draw runs, and the rows after it are drawn again in a new block. So
+the stream is consumed exactly as the per-draw order above says.
+
 Evaluation is batched: `evaluate(masks) -> list[float]` scores a list of
 masks. A run calls it once for the initial population and once per
 iteration, on every agent, after all of that iteration's draws. Since it
@@ -38,7 +45,7 @@ from .core import (
     SearchOutcome,
     TraceRow,
 )
-from .rng import RngStream
+from .rng import RngStream, uniforms
 
 # keeps both shares representable at one agent for the default N=40
 SHARE_FLOOR = 0.025
@@ -102,12 +109,40 @@ def repair_mask(mask: np.ndarray, rng: RngStream) -> np.ndarray:
     return mask
 
 
-def random_mask(dim: int, rng: RngStream) -> np.ndarray:
-    """One fair bit per position, then the zero-mask repair."""
-    bits = np.empty(dim, dtype=np.uint8)
-    for d in range(dim):
-        bits[d] = rng.bit()
-    return repair_mask(bits, rng)
+def draw_rows(rng: RngStream, count: int, width: int, build) -> list[np.ndarray]:
+    """Draw `count` rows of `width` raws each, a row whose mask comes out
+    all-zero followed by its repair draw, from speculative blocks.
+
+    build(first, raws) turns the (k, width) raws of rows first..first+k-1
+    into a tuple of arrays with one row per row drawn, the first being the
+    uint8 masks. All remaining rows are drawn as one block. At the first
+    all-zero mask the stream is set back to that row's end, the repair draw
+    runs, and the rows after it are drawn again. Returns each of build's
+    arrays, concatenated over the blocks.
+    """
+    parts = []
+    first = 0
+    while first < count:
+        start = rng.getstate()
+        raws = rng.raws((count - first) * width).reshape(count - first, width)
+        out = build(first, raws)
+        empty = np.flatnonzero(~out[0].any(axis=1))
+        if empty.size:
+            kept = int(empty[0]) + 1
+            rng.setstate(start)
+            rng.advance(kept * width)
+            out = tuple(item[:kept] for item in out)
+            repair_mask(out[0][-1], rng)
+        parts.append(out)
+        first += len(out[0])
+    return [np.concatenate(items) for items in zip(*parts)]
+
+
+def random_masks(count: int, dim: int, rng: RngStream) -> list[np.ndarray]:
+    """Masks of one fair bit per position, each followed by its zero-mask
+    repair. A bit is raw & 1: bit() never rejects."""
+    masks, = draw_rows(rng, count, dim, lambda first, raws: ((raws & 1).astype(np.uint8),))
+    return list(masks)
 
 
 def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
@@ -115,8 +150,8 @@ def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
     if dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {dim}")
     n = params.population_size
-    agents = [Agent(random_mask(dim, rng), Group.FROG if i < n // 2 else Group.SNAKE)
-              for i in range(n)]
+    agents = [Agent(mask, Group.FROG if i < n // 2 else Group.SNAKE)
+              for i, mask in enumerate(random_masks(n, dim, rng))]
     return PopulationState(agents=agents, frog_share=0.5, snake_share=0.5, iteration=0)
 
 
@@ -139,18 +174,26 @@ def two_point_crossover(a: np.ndarray, b: np.ndarray,
     return child, (p1, p2)
 
 
+def _uniform_children(own: np.ndarray, mates: np.ndarray, raws: np.ndarray):
+    """(children, mask, changed): a child takes its mate's bit where the
+    uniform of that position's raw is below 0.5."""
+    mask = uniforms(raws) < 0.5
+    children = np.where(mask, mates, own).astype(np.uint8)
+    return children, mask, children != own
+
+
+def _record(mask: np.ndarray, changed: np.ndarray) -> CrossoverRecord:
+    boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    return CrossoverRecord(mask=mask, changed=changed, boundaries=boundaries)
+
+
 def uniform_crossover(a: np.ndarray, b: np.ndarray,
                       rng: RngStream) -> tuple[np.ndarray, CrossoverRecord]:
     """Child takes b wherever an independent fair coin lands True."""
     if a.shape != b.shape:
         raise ValueError(f"parent lengths differ: {a.shape} vs {b.shape}")
-    d = a.size
-    mask = np.empty(d, dtype=bool)
-    for i in range(d):
-        mask[i] = rng.uniform() < 0.5
-    child = np.where(mask, b, a).astype(np.uint8)
-    boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
-    return child, CrossoverRecord(mask=mask, changed=child != a, boundaries=boundaries)
+    child, mask, changed = _uniform_children(a, b, rng.raws(a.size))
+    return child, _record(mask, changed)
 
 
 def determine_predation_points(record: CrossoverRecord, rng: RngStream) -> range:
@@ -272,14 +315,33 @@ def ess_mutation(pop: PopulationState, ess_threshold: int = 2) -> PopulationStat
     return pop
 
 
-def _crossover(group: list[Agent], cross, rng: RngStream) -> list:
+def _two_point_group(parents: list[np.ndarray], partner: list[int], rng: RngStream):
+    children = []
+    for a, mate in zip(parents, partner):
+        child, _ = two_point_crossover(a, parents[mate], rng)
+        children.append(repair_mask(child, rng))
+    return children, None
+
+
+def _uniform_group(parents: list[np.ndarray], partner: list[int], rng: RngStream):
+    own = np.array(parents)
+    mates = own[partner]
+    children, masks, changed = draw_rows(
+        rng, len(parents), own.shape[1],
+        lambda first, raws: _uniform_children(own[first:first + len(raws)],
+                                              mates[first:first + len(raws)], raws))
+    return list(children), [_record(m, c) for m, c in zip(masks, changed)]
+
+
+def _crossover(group: list[Agent], cross, rng: RngStream):
     """Cross every agent with its partner and keep the repaired child.
 
     The group's positions are shuffled and paired two at a time; with an odd
     count the leftover pairs with the first shuffled position, so a singleton
-    pairs with itself. Then, in group order, each agent crosses with its
-    partner's parent solution (never a child) and draws its repair. Returns
-    cross's second output per agent, in group order.
+    pairs with itself. Then cross(parents, partner, rng) draws, in group
+    order, each agent's crossover with its partner's parent solution (never
+    a child) and then its repair, and returns the repaired children and its
+    records; this returns the records.
     """
     order = list(range(len(group)))
     rng.shuffle(order)
@@ -288,12 +350,9 @@ def _crossover(group: list[Agent], cross, rng: RngStream) -> list:
         partner[order[i]], partner[order[i + 1]] = order[i + 1], order[i]
     if len(order) % 2 == 1:
         partner[order[-1]] = order[0]
-    parents = [a.solution for a in group]
-    records = []
-    for a, mate in zip(group, partner):
-        child, record = cross(a.solution, parents[mate], rng)
-        a.solution = repair_mask(child, rng)
-        records.append(record)
+    children, records = cross([a.solution for a in group], partner, rng)
+    for a, child in zip(group, children):
+        a.solution = child
     return records
 
 
@@ -314,11 +373,11 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
     # snakes explore by two-point crossover (skipped for 1-bit solutions,
     # where no point pair exists)
     if pop.agents[0].solution.size >= 2:
-        _crossover(pop.snakes(), two_point_crossover, rng)
+        _crossover(pop.snakes(), _two_point_group, rng)
 
     # frogs exploit by uniform crossover, keeping records for the hunt
     frogs = pop.frogs()
-    records = _crossover(frogs, uniform_crossover, rng)
+    records = _crossover(frogs, _uniform_group, rng)
 
     # approach phase: stake the predation points
     stakes = [determine_predation_points(record, rng) for record in records]

@@ -82,3 +82,62 @@ def exhaustive_best_fitness(evaluate, n_features):
             best = fit
             best_mask = bits
     return best, best_mask
+
+
+# --- per-draw optimizer steps ---------------------------------------------
+# The scalar forms the block draws replaced: one RngStream call per draw, in
+# the documented order, with the zero-mask repair written out each time.
+
+def scalar_random_mask(dim, rng):
+    """One bit() per position, then one index(dim) draw if all came out 0."""
+    bits = np.empty(dim, dtype=np.uint8)
+    for d in range(dim):
+        bits[d] = rng.bit()
+    if not bits.any():
+        bits[rng.index(dim)] = 1
+    return bits
+
+
+def scalar_uniform_crossover(a, b, rng):
+    """(child, mask, changed): one uniform() per position, b's bit below 0.5."""
+    mask = np.empty(a.size, dtype=bool)
+    for i in range(a.size):
+        mask[i] = rng.uniform() < 0.5
+    child = np.where(mask, b, a).astype(np.uint8)
+    return child, mask, child != a
+
+
+def scalar_bpso_step(positions, velocities, pbest, pbest_fit, gbest, gbest_fit,
+                     params, evaluate, rng):
+    """A BPSO sweep one Python float at a time, updating the lists in place."""
+    w, c1, c2 = params.inertia_weight, params.cognitive_factor, params.social_factor
+    clamp = params.velocity_clamp
+    dim = gbest.size
+    for i, x in enumerate(positions):
+        v = velocities[i]
+        for d in range(dim):
+            r1 = rng.uniform()
+            r2 = rng.uniform()
+            vd = (w * v[d]
+                  + c1 * r1 * (float(pbest[i][d]) - float(x[d]))
+                  + c2 * r2 * (float(gbest[d]) - float(x[d])))
+            v[d] = min(max(vd, -clamp), clamp)
+        for d in range(dim):
+            x[d] = 1 if rng.uniform() < 1.0 / (1.0 + math.exp(-v[d])) else 0
+        if not x.any():
+            x[rng.index(dim)] = 1
+    for i, (x, fit) in enumerate(zip(positions, evaluate(positions))):
+        if fit < pbest_fit[i]:
+            pbest_fit[i] = fit
+            pbest[i] = x.copy()
+    for i in range(len(pbest_fit)):
+        if pbest_fit[i] < gbest_fit:
+            gbest_fit = pbest_fit[i]
+            gbest = pbest[i].copy()
+    return gbest, gbest_fit
+
+
+def scalar_m_of_n_bits(n_instances, d, rng):
+    """The m-of-n bit table, one bit() per cell in row order."""
+    return np.array([[rng.bit() for _ in range(d)] for _ in range(n_instances)],
+                    dtype=np.float64)

@@ -9,7 +9,7 @@ import pytest
 
 from fsro import RngStream, generate_m_of_n
 from fsro.bench import ALGORITHMS
-from fsro.cli import _algo_params, build_parser, main
+from fsro.cli import _algo_params, _load_dataset, build_parser, main
 from fsro.data import load_csv
 
 TINY = ["--synthetic", "m-of-n:2,1,2,40", "--seed", "3", "--pop-size", "4"]
@@ -49,6 +49,18 @@ def test_label_column_out_of_range_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and "3 columns" in err
     assert not out.exists()
+
+
+def test_numeric_label_column_name_is_read_from_the_header(tmp_path):
+    data = tmp_path / "years.csv"
+    data.write_text("a,2020,y\n0.5,0,1\n1.5,1,2\n2.5,0,1\n3.5,1,2\n", encoding="utf-8")
+    parser, _ = build_parser()
+    # a header name wins; integer text the header lacks is an index
+    for label, names in (("2020", ["a", "y"]), ("2", ["a", "2020"]), ("-2", ["a", "y"])):
+        args = parser.parse_args(["run", "--dataset", str(data), "--label-column", label])
+        dataset = _load_dataset(args)
+        assert dataset.feature_names == names
+        assert dataset.labels.tolist() == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -10,6 +10,8 @@ from fsro.core import ConfigError, Group, new_mask
 from fsro.engine import (
     CrossoverRecord,
     _crossover,
+    _two_point_group,
+    _uniform_group,
     FsroParams,
     avoidance_rate,
     capture,
@@ -27,6 +29,7 @@ from fsro.engine import (
 )
 from fsro.core import Agent, PopulationState
 from fsro.rng import RngStream
+from oracles import scalar_uniform_crossover
 
 ZEROS6 = new_mask([0] * 6)
 ONES6 = new_mask([1] * 6)
@@ -454,16 +457,16 @@ def test_crossover_pairs_shuffled_positions(n):
         parents = [a.solution for a in group]
         calls = []
 
-        def cross(a, b, rng):
-            calls.append((a, b, rng.uniform()))
-            # an all-zero child, so every agent also draws its repair
-            return np.zeros_like(a), len(calls) - 1
+        def cross(solutions, partner, rng):
+            calls.append((solutions, partner))
+            children = [new_mask(np.eye(d, dtype=np.uint8)[rng.index(d)]) for _ in partner]
+            return children, list(range(n))
 
         rng = RngStream(seed)
         records = _crossover(group, cross, rng)
         assert records == list(range(n))
-        assert all(a is parent for (a, _, _), parent in zip(calls, parents))
-        partner = [next(j for j, p in enumerate(parents) if p is b) for _, b, _ in calls]
+        [(solutions, partner)] = calls
+        assert all(a is parent for a, parent in zip(solutions, parents))
 
         replay = RngStream(seed)
         order = list(range(n))
@@ -474,11 +477,36 @@ def test_crossover_pairs_shuffled_positions(n):
             assert partner[order[-1]] == order[0]
         if n == 1:
             assert partner == [0]
-        # after the one shuffle, each agent draws its crossover then its
-        # repair, in group order, and keeps the repaired child
-        for i, a in enumerate(group):
-            assert calls[i][2] == replay.uniform()
+        # cross draws right after the one shuffle, and each agent keeps its child
+        for a in group:
             assert list(a.solution) == list(np.eye(d, dtype=np.uint8)[replay.index(d)])
+        assert rng.uniform() == replay.uniform()
+
+
+@pytest.mark.parametrize("cross", [_two_point_group, _uniform_group])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_group_crossover_draws_per_agent_then_repair(cross, n):
+    d = 4
+    for seed in range(8):
+        # all-zero parents and one distinct one: most children need a repair,
+        # and the distinct parent shows whether a cross read a parent or a child
+        parents = [new_mask([0] * d) for _ in range(n)]
+        parents[0] = new_mask([1, 0, 1, 0])
+        partner = [(i + 1) % n for i in range(n)]
+        rng = RngStream(seed)
+        children, _ = cross(list(parents), partner, rng)
+
+        # after the shuffle, each agent draws its crossover then its repair,
+        # in group order, crossing with its partner's parent solution
+        replay = RngStream(seed)
+        for i, mate in enumerate(partner):
+            if cross is _two_point_group:
+                child, _ = two_point_crossover(parents[i], parents[mate], replay)
+            else:
+                child, _, _ = scalar_uniform_crossover(parents[i], parents[mate], replay)
+            if not child.any():
+                child[replay.index(d)] = 1
+            assert list(children[i]) == list(child)
         assert rng.uniform() == replay.uniform()
 
 
