@@ -1,7 +1,9 @@
 """Reference binary optimizers sharing the frog-snake fitness interface.
 
 Both are elitist, use the same zero-mask repair, and consume one RngStream in
-a fixed order, so their runs replay exactly like the main engine's.
+a fixed order, so their runs replay exactly like the main engine's. Each run
+is its initialisation plus one `core.drive` call: GA's state is (population,
+fitness), BPSO's is `bpso_step`'s arguments up to the (gbest, gbest_fit) it returns.
 
 They take the engine's batch protocol, `evaluate(masks) -> list[float]`,
 called once for the initial population and once per generation after all
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SearchOutcome, TraceRow
+from .core import ConfigError, SearchOutcome, drive, require_finite
 from .engine import draw_rows, random_masks, repair_mask
 from .rng import RngStream, uniforms
 
@@ -67,6 +69,8 @@ class BpsoParams:
     max_iterations: int = 100
 
     def __post_init__(self):
+        require_finite(self, "inertia_weight", "cognitive_factor", "social_factor",
+                       "velocity_clamp")
         if self.velocity_clamp <= 0:
             raise ConfigError(f"velocity_clamp must be positive, got {self.velocity_clamp}")
         if self.population_size < 1:
@@ -98,6 +102,12 @@ def _sample_bits(velocity: np.ndarray, u: np.ndarray) -> np.ndarray:
     return take.astype(np.uint8)
 
 
+def _best(masks: list[np.ndarray], fitness: list[float]) -> tuple[float, np.ndarray]:
+    """(fitness, mask) of the fittest mask; the first wins ties."""
+    i = min(range(len(fitness)), key=fitness.__getitem__)
+    return fitness[i], masks[i]
+
+
 def _tournament(fitness: list[float], rng: RngStream) -> int:
     """Binary tournament without replacement; the first pick wins ties."""
     i = rng.index(len(fitness))
@@ -114,9 +124,8 @@ def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams
     rate; the offspring are scored in one batch after the last draw."""
     n = len(population)
     dim = population[0].size
-    elite = min(range(n), key=lambda i: (fitness[i], i))
-    new_pop = [population[elite].copy()]
-    new_fit = [fitness[elite]]
+    elite_fit, elite = _best(population, fitness)
+    new_pop, new_fit = [elite.copy()], [elite_fit]
     while len(new_pop) < n:
         p1 = population[_tournament(fitness, rng)]
         p2 = population[_tournament(fitness, rng)]
@@ -138,19 +147,11 @@ def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams
 
 
 def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
+    """The elite leads each generation, so its fittest mask is the best so far."""
     population = random_masks(params.population_size, dim, rng)
-    fitness = evaluate(population)
-    best = min(range(len(fitness)), key=lambda i: (fitness[i], i))
-    best_mask, best_fit = population[best].copy(), fitness[best]
-    trace = [TraceRow(0, best_fit, 0, 0, False)]
-    for t in range(params.max_iterations):
-        population, fitness = ga_step(population, fitness, params, evaluate, rng)
-        gen_best = min(range(len(fitness)), key=lambda i: (fitness[i], i))
-        if fitness[gen_best] < best_fit:
-            best_fit = fitness[gen_best]
-            best_mask = population[gen_best].copy()
-        trace.append(TraceRow(t + 1, best_fit, 0, 0, False))
-    return SearchOutcome(best_mask=best_mask, best_fitness=best_fit, trace=trace)
+    return drive(params.max_iterations, (population, evaluate(population)),
+                 lambda state: ga_step(*state, params, evaluate, rng),
+                 lambda state: _best(*state))
 
 
 def _fly(positions: list[np.ndarray], velocities: list[np.ndarray],
@@ -201,11 +202,8 @@ def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
         if fit < pbest_fit[i]:
             pbest_fit[i] = fit
             pbest[i] = x.copy()
-    gen_best = min(range(len(pbest_fit)), key=lambda i: (pbest_fit[i], i))
-    if pbest_fit[gen_best] < gbest_fit:
-        gbest_fit = pbest_fit[gen_best]
-        gbest = pbest[gen_best].copy()
-    return gbest, gbest_fit
+    best_fit, best = _best(pbest, pbest_fit)
+    return (best.copy(), best_fit) if best_fit < gbest_fit else (gbest, gbest_fit)
 
 
 def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
@@ -213,11 +211,8 @@ def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOu
     velocities = [np.zeros(dim) for _ in range(params.population_size)]
     pbest = [x.copy() for x in positions]
     pbest_fit = evaluate(positions)
-    gen_best = min(range(len(pbest_fit)), key=lambda i: (pbest_fit[i], i))
-    gbest, gbest_fit = pbest[gen_best].copy(), pbest_fit[gen_best]
-    trace = [TraceRow(0, gbest_fit, 0, 0, False)]
-    for t in range(params.max_iterations):
-        gbest, gbest_fit = bpso_step(positions, velocities, pbest, pbest_fit,
-                                     gbest, gbest_fit, params, evaluate, rng)
-        trace.append(TraceRow(t + 1, gbest_fit, 0, 0, False))
-    return SearchOutcome(best_mask=gbest.copy(), best_fitness=gbest_fit, trace=trace)
+    gbest_fit, gbest = _best(pbest, pbest_fit)
+    return drive(params.max_iterations,
+                 (positions, velocities, pbest, pbest_fit, gbest.copy(), gbest_fit),
+                 lambda swarm: (*swarm[:4], *bpso_step(*swarm, params, evaluate, rng)),
+                 lambda swarm: (swarm[5], swarm[4]))

@@ -123,31 +123,18 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     return results, summarize(results, dataset.n_features)
 
 
-def summarize_fitness(values: list[float]) -> tuple[float, float, float, float]:
-    """(mean, best, worst, population std) of per-run best fitness values."""
-    if not values:
-        raise ValueError("cannot summarize an empty list of fitness values")
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.min()), float(arr.max()), float(arr.std())
-
-
-def average_accuracy(results: list[RunResult]) -> float:
-    return float(np.mean([r.test_accuracy for r in results]))
-
-
-def average_reduction(results: list[RunResult], total_features: int) -> float:
-    return float(np.mean([total_features - r.selected_count for r in results]))
-
-
 def summarize(results: list[RunResult], total_features: int) -> ExperimentSummary:
-    mean_f, best_f, worst_f, std_f = summarize_fitness([r.best_fitness for r in results])
+    """The seven criteria over one or more runs; std is the population std."""
+    if not results:
+        raise ValueError("cannot summarize an empty list of runs")
+    fits = np.asarray([r.best_fitness for r in results], dtype=np.float64)
     return ExperimentSummary(
-        mean_fitness=mean_f,
-        best_fitness=best_f,
-        worst_fitness=worst_f,
-        std_fitness=std_f,
-        average_accuracy=average_accuracy(results),
-        average_reduction=average_reduction(results, total_features),
+        mean_fitness=float(fits.mean()),
+        best_fitness=float(fits.min()),
+        worst_fitness=float(fits.max()),
+        std_fitness=float(fits.std()),
+        average_accuracy=float(np.mean([r.test_accuracy for r in results])),
+        average_reduction=float(np.mean([total_features - r.selected_count for r in results])),
         average_time=float(np.mean([r.wall_time_seconds for r in results])),
         runs=len(results),
     )

@@ -284,6 +284,8 @@ def main(argv=None) -> int:
             sub = sub_map[args.command]
             sub.set_defaults(**_config_defaults(sub, args.config))
             args = parser.parse_args(argv)  # explicit flags still win
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,6 +9,7 @@ are float64 throughout.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ class DataError(ValueError):
 class Group(enum.Enum):
     FROG = "frog"
     SNAKE = "snake"
+
+
+def require_finite(params, *names: str) -> None:
+    """Raise ConfigError naming the first of the fields `names` that is NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(params, name)}")
 
 
 def new_mask(bits) -> np.ndarray:
@@ -62,7 +70,8 @@ class Agent:
 
 @dataclass
 class PopulationState:
-    """Full engine state between iterations.
+    """Full engine state between iterations, passed by `drive` from one
+    `engine.step` to the next; `drive` numbers the iterations.
 
     Invariants kept by the engine: frog_share + snake_share == 1 (within fp),
     len(agents) is constant, both groups are non-empty after every step, and
@@ -77,7 +86,6 @@ class PopulationState:
     agents: list[Agent]
     frog_share: float
     snake_share: float
-    iteration: int
     global_best_mask: np.ndarray | None = None
     global_best_fitness: float | None = None
     # whether any capture in the most recent step succeeded
@@ -108,6 +116,20 @@ class SearchOutcome:
     best_mask: np.ndarray
     best_fitness: float
     trace: list[TraceRow]
+
+
+def drive(iterations: int, state, step, best,
+          counts=lambda state: (0, 0, False)) -> SearchOutcome:
+    """The one generation loop: `state = step(state)` `iterations` times, with a
+    trace row for the initial state and after each step. best(state) gives the
+    (fitness, mask) best so far; counts(state) the frog and snake counts and
+    the capture flag."""
+    trace = []
+    for t in range(iterations + 1):
+        state = step(state) if t else state
+        fitness, mask = best(state)
+        trace.append(TraceRow(t, fitness, *counts(state)))
+    return SearchOutcome(best_mask=mask.copy(), best_fitness=fitness, trace=trace)
 
 
 @dataclass

@@ -29,6 +29,8 @@ Evaluation is batched: `evaluate(masks) -> list[float]` scores a list of
 masks. A run calls it once for the initial population and once per
 iteration, on every agent, after all of that iteration's draws. Since it
 draws nothing, batching leaves the stream and the results unchanged.
+`run_search` is `initialize` plus one `core.drive` call: the generation loop
+of FSRO, GA and BPSO, which calls `step` and writes the trace rows.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .core import (
     Group,
     PopulationState,
     SearchOutcome,
-    TraceRow,
+    drive,
+    require_finite,
 )
 from .rng import RngStream, uniforms
 
@@ -64,6 +67,7 @@ class FsroParams:
     ess_threshold: int = 2
 
     def __post_init__(self):
+        require_finite(self, "max_dis", "decision_dis", "w1", "w2", "d1", "d2")
         if self.population_size < 4 or self.population_size % 2 != 0:
             raise ConfigError(
                 f"population_size must be an even integer >= 4, got {self.population_size}"
@@ -152,7 +156,7 @@ def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
     n = params.population_size
     agents = [Agent(mask, Group.FROG if i < n // 2 else Group.SNAKE)
               for i, mask in enumerate(random_masks(n, dim, rng))]
-    return PopulationState(agents=agents, frog_share=0.5, snake_share=0.5, iteration=0)
+    return PopulationState(agents=agents, frog_share=0.5, snake_share=0.5)
 
 
 def two_point_crossover(a: np.ndarray, b: np.ndarray,
@@ -403,26 +407,15 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
     pop.frog_share, pop.snake_share = shares
     resize_groups(pop, shares)
     ess_mutation(pop, params.ess_threshold)
-
-    pop.iteration += 1
     return pop
 
 
-def _trace_row(pop: PopulationState) -> TraceRow:
-    return TraceRow(pop.iteration, pop.global_best_fitness,
-                    len(pop.frogs()), len(pop.snakes()), pop.captured)
-
-
 def run_search(params: FsroParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
-    """Full run: initialize, evaluate, iterate; trace has max_iterations+1 rows."""
+    """Full run: initialize and evaluate, then `drive` max_iterations steps."""
     pop = initialize(params, dim, rng)
     _evaluate_agents(pop, evaluate)
-    trace = [_trace_row(pop)]
-    for _ in range(params.max_iterations):
-        step(pop, params, evaluate, rng)
-        trace.append(_trace_row(pop))
-    return SearchOutcome(
-        best_mask=pop.global_best_mask.copy(),
-        best_fitness=pop.global_best_fitness,
-        trace=trace,
-    )
+    # the lambda looks `step` up at each call, so a wrapper swapped in sees it
+    return drive(params.max_iterations, pop,
+                 lambda pop: step(pop, params, evaluate, rng),
+                 lambda pop: (pop.global_best_fitness, pop.global_best_mask),
+                 lambda pop: (len(pop.frogs()), len(pop.snakes()), pop.captured))

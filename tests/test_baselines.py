@@ -75,14 +75,6 @@ def test_ga_mutation_flips_exactly_one_bit():
         assert min(diffs) == 1
 
 
-def test_ga_best_fitness_non_increasing():
-    outcome = ga_run(GaParams(population_size=10, max_iterations=30), 10,
-                     count_ones_fitness, RngStream(7))
-    fits = [row.best_fitness for row in outcome.trace]
-    assert all(a >= b for a, b in zip(fits, fits[1:]))
-    assert len(fits) == 31
-
-
 def test_ga_finds_single_bit_optimum():
     outcome = ga_run(GaParams(population_size=20, max_iterations=60), 12,
                      count_ones_fitness, RngStream(8))
@@ -128,14 +120,6 @@ def test_bpso_clamped_velocity_saturates_bits():
     # w=1 with zero attraction keeps v at +clamp; ones fraction ~ sigmoid(6)
     assert np.all(velocities[0] == 6.0)
     assert abs(positions[0].mean() - 0.997527) < 0.005
-
-
-def test_bpso_gbest_non_increasing(small_m_of_n):
-    evaluator, rng = make_evaluator(small_m_of_n, seed=29)
-    outcome = bpso_run(BpsoParams(population_size=10, max_iterations=25),
-                       small_m_of_n.n_features, evaluator.evaluate_all, rng)
-    fits = [row.best_fitness for row in outcome.trace]
-    assert all(a >= b for a, b in zip(fits, fits[1:]))
 
 
 def test_bpso_finds_single_bit_optimum():

@@ -75,6 +75,21 @@ def test_fewer_than_one_worker_exits_2(command, workers, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("run", [*TINY, "--runs", "2", "--iterations", "1"]),
+    ("compare", [*TINY, "--algorithms", "ga", "bpso", "--runs", "2", "--iterations", "1"]),
+    ("gen", ["--synthetic", "m-of-n:2,1,2,40"]),
+], ids=["run", "compare", "gen"])
+def test_negative_seed_exits_2(command, argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command, *argv, "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "--seed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as f:
         return list(csv.reader(f))
