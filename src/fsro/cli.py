@@ -18,7 +18,7 @@ from .bench import ALGORITHMS, run_experiment, wilcoxon_signed_rank
 from .core import ConfigError, DataError, RunResult, mask_string
 from .data import Dataset, generate_m_of_n, load_csv, save_csv
 from .fitness import FitnessParams
-from .rng import RngStream
+from .rng import MASK64, RngStream
 
 
 def _fmt(x) -> str:
@@ -286,6 +286,11 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)  # explicit flags still win
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        # run k uses seed + k, and a stream takes seeds below 2**64
+        last = args.seed + max(getattr(args, "runs", 1), 1) - 1
+        if last > MASK64:
+            raise ConfigError(f"--seed {args.seed} gives run seeds up to {last}; "
+                              "seeds must be below 2**64")
         return args.func(args)
     except (ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -125,11 +125,10 @@ class RngStream:
     __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        if not 0 <= seed <= MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = seed
-        sm = seed & MASK64
-        sm, self._s0 = _splitmix64(sm)
+        sm, self._s0 = _splitmix64(seed)
         sm, self._s1 = _splitmix64(sm)
         sm, self._s2 = _splitmix64(sm)
         sm, self._s3 = _splitmix64(sm)

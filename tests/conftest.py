@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `pytest --hypothesis-profile=ci`: four times the default examples for
+# properties that do not fix their own count, drawn the same way on every
+# run so a CI failure replays
+settings.register_profile("ci", max_examples=400, derandomize=True)
 
 from fsro import FitnessParams, RngStream, generate_m_of_n
 from fsro.data import stratified_split

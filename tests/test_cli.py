@@ -90,6 +90,30 @@ def test_negative_seed_exits_2(command, argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,argv,seed", [
+    ("run", [*TINY, "--runs", "2", "--iterations", "1"], 2**64 - 1),
+    ("compare", [*TINY, "--algorithms", "ga", "bpso", "--runs", "3", "--iterations", "1"],
+     2**64 - 2),
+    ("gen", ["--synthetic", "m-of-n:2,1,2,40"], 2**64),
+], ids=["run", "compare", "gen"])
+def test_seed_at_or_past_2_64_exits_2(command, argv, seed, tmp_path, capsys):
+    # seed 2**64 would replay seed 0
+    out = tmp_path / "out"
+    code = main([command, *argv, "--seed", str(seed), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "--seed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_last_seed_below_2_64_is_accepted(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["gen", "--synthetic", "m-of-n:2,1,2,40", "--seed", str(2**64 - 1),
+                 "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as f:
         return list(csv.reader(f))

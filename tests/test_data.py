@@ -1,9 +1,15 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fsro.data as data_module
 from fsro import DataError, RngStream, generate_m_of_n, load_csv, save_csv
 from fsro.core import ConfigError
-from fsro.data import stratified_split
+from fsro.data import Dataset, stratified_split
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -250,3 +256,230 @@ def test_non_utf8_file_is_a_data_error_naming_the_path(tmp_path):
     p.write_bytes("a,b,label\n1,2,café\n3,4,x\n".encode("latin-1"))
     with pytest.raises(DataError, match=r"latin1\.csv: file is not UTF-8 text"):
         load_csv(p)
+
+
+# The plain pass (numpy) against the reader (csv.reader and float()): the
+# same features bit for bit, labels and names, or the same error.
+
+def _outcome(path, **kwargs):
+    try:
+        ds = load_csv(path, **kwargs)
+    except (ConfigError, DataError) as e:
+        return type(e).__name__, str(e)
+    assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
+    return (ds.features.view(np.uint64).tolist(), ds.features.shape,
+            ds.labels.tolist(), ds.feature_names)
+
+
+def _reader_outcome(path, **kwargs):
+    with mock.patch.object(data_module, "_read_plain", lambda *args: None):
+        return _outcome(path, **kwargs)
+
+
+def _plain_result(path, **kwargs):
+    """What the plain pass returned, None when it handed the file over."""
+    seen = []
+    real = data_module._read_plain
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(data_module, "_read_plain", spy):
+        _outcome(path, **kwargs)
+    return seen[0]
+
+
+@pytest.fixture(params=["plain", "reader"])
+def either_path(request, monkeypatch):
+    if request.param == "reader":
+        monkeypatch.setattr(data_module, "_read_plain", lambda *args: None)
+    return request.param
+
+
+def test_utf8_bom_is_not_part_of_the_first_name(tmp_path, either_path):
+    p = write(tmp_path, "\ufeffa,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n")
+    assert load_csv(p).feature_names == ["a", "b"]
+
+
+def test_utf8_bom_header_name_selects_the_label(tmp_path, either_path):
+    p = write(tmp_path, "\ufeffa,b,label\n0,2,3\n1,4,5\n0,6,7\n1,8,9\n")
+    ds = load_csv(p, label_column="a")
+    assert ds.feature_names == ["b", "label"]
+    assert ds.labels.tolist() == [0, 1, 0, 1]
+
+
+def test_utf8_bom_before_a_headerless_first_cell(tmp_path, either_path):
+    p = write(tmp_path, "\ufeff1,2,0\n3,4,1\n5,6,0\n7,8,1\n")
+    ds = load_csv(p, has_header=False)
+    assert ds.features[0].tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("text,header,row", [
+    ("a,b,label\n1,2,3,x\n4,5,6,y\n7,8,9,x\n1,2,3,y\n", 3, 4),
+    ("a,b,c,d,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n", 5, 3),
+], ids=["narrower", "wider"])
+def test_header_width_must_match_the_rows(tmp_path, either_path, text, header, row):
+    p = write(tmp_path, text)
+    with pytest.raises(DataError, match=rf"header has {header} columns but row 0 has {row}"):
+        load_csv(p)
+
+
+def test_float64_extremes_round_trip_through_save_csv(tmp_path):
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, -2.5]
+    n = len(values)
+    ds = Dataset("x", np.array([values, values[::-1]] * 2), np.array([0, 0, 1, 1]))
+    save_csv(ds, tmp_path / "x.csv")
+    assert _plain_result(tmp_path / "x.csv") is not None
+    got = load_csv(tmp_path / "x.csv")
+    assert got.features.shape == (4, n)
+    assert got.features.view(np.uint64).tolist() == ds.features.view(np.uint64).tolist()
+
+
+# Files the plain pass must take: CRLF (as save_csv writes), a byte-order
+# mark, blank lines anywhere, no final newline, the label in any column,
+# labels full of signs, dots and e's, and no header.
+PLAIN_FILES = {
+    "crlf": (b"a,b,label\r\n1.5,-2e3,x\r\n3,4,y\r\n5,6,x\r\n7,8,y\r\n", {}),
+    "crlf after a feature": (b"y,a,b\r\nx,1,1.5\r\ny,3,-2e-3\r\nx,5,6\r\ny,7,8\r\n",
+                             {"label_column": 0}),
+    "bom": (b"\xef\xbb\xbfa,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n", {}),
+    "blank lines": (b"\n\r\na,b,label\n\n1,2,x\r\n\r\n\n3,4,y\n5,6,x\n\n7,8,y\n\n\n", {}),
+    "no final newline": (b"a,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y", {}),
+    "label first": (b"y,a,b\nIris-setosa,1,2\n1e5,3,4\nIris-setosa,5,6\n1e5,7,8\n",
+                    {"label_column": 0}),
+    "label in the middle": (b"a,y,b\n1,-.e+,2\n3,B,4\n5,-.e+,6\n7,B,8\n", {"label_column": "y"}),
+    "no header": (b"+1.25e-3,00.5,1\n-0,1E+2,2\n3,4,1\n5,6,2\n", {"has_header": False}),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_FILES)
+def test_plain_files_take_the_plain_pass(tmp_path, name):
+    data, kwargs = PLAIN_FILES[name]
+    p = tmp_path / "d.csv"
+    p.write_bytes(data)
+    assert _plain_result(p, **kwargs) is not None
+    assert _outcome(p, **kwargs) == _reader_outcome(p, **kwargs)
+
+
+def test_cells_over_the_csv_field_limit_go_to_the_reader(tmp_path):
+    p = write(tmp_path, "a,b,label\n1,2,x\n3,4.000000000001,y\n5,6,x\n7,8,y\n")
+    old = csv.field_size_limit(10)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(p)
+    finally:
+        csv.field_size_limit(old)
+
+
+# Each sends the whole file to the reader: its result or error must be the
+# reader's.
+READER_FILES = {
+    "quote": b'a,b,label\n1,2,"x"\n3,4,y\n5,6,x\n7,8,y\n',
+    "lone cr": b"a,b,label\r1,2,x\r3,4,y\r5,6,x\r7,8,y\r",
+    "cr inside a row": b"a,b,label\n1,2,x\n3,4\r,y\n5,6,x\n7,8,y\n",
+    "cr in the header": b"a,b\r,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n",
+    "nul": b"a,b,label\n1,2,x\n3,4,y\x00\n5,6,x\n7,8,y\n",
+    "ragged row": b"a,b,label\n1,2,x\n3,4,y\n5,6\n7,8,y\n",
+    "missing label": b"a,b,label\n1,2,x\n3,4,NA\n5,6,x\n7,8,y\n",
+    "missing feature": b"a,b,label\n1,2,x\n3,?,y\n5,6,x\n7,8,y\n",
+    "not utf-8": b"a,b,label\n1,2,x\n3,4,caf\xe9\n5,6,x\n7,8,y\n",
+    "label only": b"label\nx\ny\nx\ny\n",
+    "header only": b"a,b,label\n\r\n",
+    "empty": b"\n\n",
+    "wider header": b"a,b,c,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n",
+}
+for cell in ["1_0", " 1.5", "1.5 ", ".5", "5.", "inf", "nan", "1e", "1e+", "e5", "--1",
+             "+-1", "1-1", "1.2.3", "1e5e5", "1e5.5", "0x10", "\u0661", ""]:
+    READER_FILES[f"feature {cell!r}"] = f"a,b,label\n1,2,x\n3,{cell},y\n5,6,x\n7,8,y\n".encode()
+
+
+@pytest.mark.parametrize("name", READER_FILES)
+@pytest.mark.parametrize("label_column", [-1, "a", "b", 1, 5])
+def test_fallback_files_get_the_readers_result_or_error(tmp_path, name, label_column):
+    p = tmp_path / "d.csv"
+    p.write_bytes(READER_FILES[name])
+    assert _plain_result(p, label_column=label_column) is None
+    assert _outcome(p, label_column=label_column) == _reader_outcome(p, label_column=label_column)
+
+
+# Cells the plain pass hands to float() one by one: more than 19 significant
+# digits, |exponent - fraction digits| > 27, long mantissas, and decimals
+# whose long double product lands exactly on a float64 midpoint, below and
+# above a power of two.
+FLOAT_CELLS = [
+    "12345678901234567890", "1.2345678901234567890", "0.17000000000000000000",
+    "18446744073709551615", "18446744073709551616", "9" * 40, "0." + "0" * 30 + "1",
+    "1e28", "1e-28", "123e-30", "5e-324", "2.4703282292062328e-324", "1.7976931348623159e308",
+    "1e0005", "1e-0005", "1e1005", "1e-1005", "4.9e-324", "1" + "0" * 30 + "e-30",
+    "1" + "0" * 25 + ".5", "7" + "0" * 24,
+    "9007199254740993", "9007199254740995", "-9007199254740993.0",
+    "6249999999999999653e-20", "8589934591999999523e-9", "5960464477539062169e-26",
+    "2980232238769531581e-26", "5960464477539063162e-26", "9536743164062501059e-25",
+]
+
+
+def _cells_file(path, cells, width):
+    """cells in rows of `width` features after a lead row, labels a/b, and
+    four more rows so every class has two instances."""
+    cells = cells + ["0"] * (-len(cells) % width)
+    rows = [["123456789012345678"] * width]  # so no later cell ends in the first 24 bytes
+    rows += [cells[i:i + width] for i in range(0, len(cells), width)]
+    rows += [["1"] * width] * 4
+    path.write_text("".join(",".join([*r, "ab"[i % 2]]) + "\n" for i, r in enumerate(rows)))
+    want = [float(c) for r in rows for c in r]
+    return np.array(want).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_cells_beyond_the_exact_range_match_float(tmp_path, width, either_path):
+    p = tmp_path / "d.csv"
+    want = _cells_file(p, FLOAT_CELLS + ["-" + c.lstrip("-") for c in FLOAT_CELLS], width)
+    ds = load_csv(p, has_header=False)
+    assert ds.features.view(np.uint64).ravel().tolist() == want
+
+
+def test_without_an_exact_long_double_every_cell_gets_float(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    ds = Dataset("x", rng.standard_normal((30, 20)) * 10.0 ** rng.integers(-30, 30, (30, 20)),
+                 np.arange(30) % 2)
+    save_csv(ds, tmp_path / "x.csv")
+    monkeypatch.setattr(data_module, "_EXACT_LONG_DOUBLE", False)
+    got = load_csv(tmp_path / "x.csv")
+    assert got.features.view(np.uint64).tolist() == ds.features.view(np.uint64).tolist()
+
+
+@st.composite
+def number_cells(draw):
+    """Cells in the grammar: repr, %.{p}g and %.{p}e of any finite float64,
+    18- and 19-digit mantissas, 16-digit float64 midpoints such as
+    9007199254740993, with signs and leading zeros."""
+    kind = draw(st.sampled_from(["repr", "g", "e", "digits", "midpoint"]))
+    if kind == "digits":
+        digits = draw(st.text("0123456789", min_size=18, max_size=19))
+        point = draw(st.integers(1, len(digits)))
+        text = digits[:point] + ("." + digits[point:] if point < len(digits) else "")
+        text += draw(st.sampled_from(["", "e5", "E-12", "e+27", "e-30", "e-9"]))
+    elif kind == "midpoint":
+        text = str(2 * draw(st.integers(2**52, 2**53 - 1)) + 1)
+    else:
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        p = draw(st.integers(0, 20))
+        text = {"repr": repr(x), "g": "%.*g" % (max(p, 1), x), "e": "%.*e" % (p, x)}[kind]
+    sign = "-" if text.startswith("-") else draw(st.sampled_from(["", "", "-", "+"]))
+    return sign + draw(st.sampled_from(["", "", "0", "000"])) + text.lstrip("-")
+
+
+@settings(deadline=None)
+@given(cells=st.lists(number_cells(), min_size=1, max_size=30), width=st.integers(1, 4),
+       block=st.sampled_from([1, 40, data_module.BLOCK_BYTES]),
+       chunk=st.sampled_from([1, 5, data_module._CHUNK_CELLS]))
+def test_plain_pass_matches_float_bit_for_bit(tmp_path_factory, cells, width, block, chunk):
+    p = tmp_path_factory.mktemp("cells") / "d.csv"
+    want = _cells_file(p, cells, width)
+    with (mock.patch.object(data_module, "BLOCK_BYTES", block),
+          mock.patch.object(data_module, "_CHUNK_CELLS", chunk)):
+        assert _plain_result(p, has_header=False) is not None
+        ds = load_csv(p, has_header=False)
+    assert ds.features.view(np.uint64).ravel().tolist() == want

@@ -63,6 +63,13 @@ def test_negative_seed_rejected():
         RngStream(-1)
 
 
+def test_seed_of_2_64_or_more_rejected():
+    # masking it to 64 bits would replay seed 0
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        RngStream(2**64)
+    assert RngStream(2**64 - 1).next_raw() != RngStream(0).next_raw()
+
+
 def test_shuffle_is_deterministic():
     a = list(range(20))
     b = list(range(20))
