@@ -16,7 +16,10 @@ re-serialized file reproduces the same labels.
   a NUL byte or a lone `\r`, a row wider or narrower than the first, a
   missing label token, a cell longer than `csv.field_size_limit()`, a
   feature cell outside `[+-]digits[.digits][(e|E)[+-]digits]`, bytes that
-  are not UTF-8, or anything else the reader reports as an error.
+  are not UTF-8, or anything else the reader reports as an error. A file
+  that cannot seek, such as a pipe, goes to the reader unread. A blank line
+  is an empty cell that both starts and ends a line; an empty last cell
+  after a comma is a cell, as it is to the reader.
 
 The plain pass reads whole lines in blocks of about BLOCK_BYTES and converts
 at most _CHUNK_CELLS feature cells at a time, so its temporaries stay at a
@@ -53,6 +56,7 @@ import io
 import itertools
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -168,8 +172,8 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
     object per cell; any other file, and every error, goes through
     `csv.reader` and float(). Both give the same features, bit for bit; the
     module docstring has the fallback triggers, the exactness argument and
-    the memory bound. Either way the file is streamed, and the memory held
-    beyond the features is a few MB.
+    the memory bound. Either way the file is streamed, a pipe too, and the
+    memory held beyond the features is a few MB.
     """
     path = str(path)
     try:
@@ -177,9 +181,11 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
     except OSError as e:
         raise DataError(f"{path}: cannot open file: {e.strerror or e}") from e
     with f:
-        parsed = _read_plain(f, path, label_column, has_header)
-        if parsed is None:
+        parsed = None
+        if f.seekable():  # a pipe is read once, by the reader
+            parsed = _read_plain(f, path, label_column, has_header)
             f.seek(0)
+        if parsed is None:
             with io.TextIOWrapper(f, encoding="utf-8-sig", newline="") as text:
                 try:
                     parsed = _read_rows(csv.reader(text), path, label_column, has_header)
@@ -274,31 +280,26 @@ def _read_plain(f, path: str, label_column: int | str, has_header: bool):
     values = array("d")
     label_tokens: list[str] = []
     for block in _plain_blocks(f):
-        if block is None:
+        cells = None if block is None else _scan(block, limit)
+        if cells is None:
             return None
-        if not n_cols:  # the header and the first row are the first lines
-            block = _drop_blank_lines(block)
-            if has_header and header is None and block:
-                line, _, block = block.partition(b"\n")
-                line = line.removesuffix(b"\r")
-                if b"\r" in line or len(line) > limit:
-                    return None
-                try:
-                    header = [h.strip() for h in line.decode("utf-8").split(",")]
-                except UnicodeDecodeError:
-                    return None
-                block = _drop_blank_lines(block)
-            if not block:
-                continue
-            line = block[:block.index(b"\n")].removesuffix(b"\r")
-            n_cols = line.count(b",") + 1
-            if b"\r" in line or n_cols < 2:
+        if has_header and header is None and len(cells.sep):
+            k = int(cells.line_end.argmax()) + 1  # the first line's cells
+            header = _texts(block, cells.starts[:k], cells.ends[:k])
+            if header is None:
+                return None
+            cells = cells.after(k)
+        if not len(cells.sep):
+            continue
+        if not n_cols:  # the first row's width
+            n_cols = int(cells.line_end.argmax()) + 1
+            if n_cols < 2:
                 return None
             try:
                 label_idx = _layout(header, n_cols, label_column, path)
             except (ConfigError, DataError):
                 return None  # the reader may meet another error first
-        parsed = _parse_block(block, n_cols, label_idx, limit)
+        parsed = _parse_block(block, cells, n_cols, label_idx)
         if parsed is None:
             return None
         values.frombytes(parsed[0].data.cast("B"))
@@ -330,17 +331,29 @@ def _plain_blocks(f):
             return
 
 
-def _drop_blank_lines(block: bytes) -> bytes:
-    """The block from its first line that is not blank."""
-    while block.startswith((b"\n", b"\r\n")):
-        block = block[block.index(b"\n") + 1:]
-    return block
+class _Cells(NamedTuple):
+    """A block's skeleton, its bytes that are not digits, and its cells."""
+
+    buf: np.ndarray  # the block's bytes
+    pos: np.ndarray  # where the skeleton bytes are, CRs left out
+    byte: np.ndarray
+    code: np.ndarray  # their skeleton classes
+    bad: np.ndarray  # skeleton indexes that break the feature grammar
+    sep: np.ndarray  # the skeleton index of each cell's separator
+    starts: np.ndarray  # each cell's bytes, a CR before its LF left out
+    ends: np.ndarray
+    line_end: np.ndarray  # whether the cell ends its line
+
+    def after(self, k: int) -> _Cells:
+        """The cells from the k-th on."""
+        return self._replace(bad=self.bad[self.bad > self.sep[k - 1]], sep=self.sep[k:],
+                             starts=self.starts[k:], ends=self.ends[k:],
+                             line_end=self.line_end[k:])
 
 
-def _parse_block(block: bytes, n_cols: int, label_idx: int, limit: int):
-    """(feature values, label tokens) of a block of whole lines, or None when
-    it has a lone CR, a ragged row, a cell too long, a feature cell off the
-    grammar or a label token missing or not UTF-8."""
+def _scan(block: bytes, limit: int) -> _Cells | None:
+    """The cells of a block of whole lines, blank lines dropped, or None
+    when it has a lone CR or a cell longer than limit."""
     buf = np.frombuffer(block, np.uint8)
     pos = np.flatnonzero(buf - 48 >= 10)  # the skeleton: every byte but the digits
     byte = buf[pos]
@@ -362,7 +375,7 @@ def _parse_block(block: bytes, n_cols: int, label_idx: int, limit: int):
     pair = code * 2 + gap
     pair[0] += _SEP * 12
     pair[1:] += code[:-1] * 12
-    bad = np.flatnonzero(~_FITS[pair])  # only in label cells and blank lines, if any
+    bad = np.flatnonzero(~_FITS[pair])
 
     # a separator ends the cell that starts after the separator before it
     sep = np.flatnonzero((byte == 44) | (byte == 10))
@@ -373,48 +386,57 @@ def _parse_block(block: bytes, n_cols: int, label_idx: int, limit: int):
     if crlf:
         ends -= buf[ends - 1] == 13
     line_end = byte[sep] == 10
-    # an empty cell at a line end is a blank line, or else the last cell of
-    # a row, which dropping leaves ragged
+    # a blank line is one empty cell that both starts and ends a line
     blank = line_end & (starts == ends)
+    blank[1:] &= line_end[:-1]
     if blank.any():
         bad = np.setdiff1d(bad, sep[blank])
         keep = ~blank
         sep, starts, ends, line_end = sep[keep], starts[keep], ends[keep], line_end[keep]
+    if len(sep) and (ends - starts).max() > limit:
+        return None
+    return _Cells(buf, pos, byte, code, bad, sep, starts, ends, line_end)
+
+
+def _texts(block: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str] | None:
+    """The cells' text, stripped, or None when one is not UTF-8."""
+    try:
+        return [block[a:b].decode("utf-8").strip()
+                for a, b in zip(starts.tolist(), ends.tolist())]
+    except UnicodeDecodeError:
+        return None
+
+
+def _parse_block(block: bytes, cells: _Cells, n_cols: int, label_idx: int):
+    """(feature values, label tokens) of a block's cells, or None when a row
+    is ragged, a feature cell is off the grammar or a label token is missing
+    or not UTF-8."""
+    sep, starts, ends, line_end = cells.sep, cells.starts, cells.ends, cells.line_end
     n = len(sep)
     if n % n_cols or not np.array_equal(np.flatnonzero(line_end),
                                         np.arange(n_cols - 1, n, n_cols)):
         return None
-    if not n:
-        return np.empty(0), []
-    if np.any(np.searchsorted(sep, bad) % n_cols != label_idx):
+    if np.any(np.searchsorted(sep, cells.bad) % n_cols != label_idx):
         return None
-    if (ends - starts).max() > limit:
-        return None
-
-    tokens = []
-    try:
-        for a, b in zip(starts[label_idx::n_cols].tolist(), ends[label_idx::n_cols].tolist()):
-            tok = block[a:b].decode("utf-8").strip()
-            if tok.lower() in MISSING_TOKENS:
-                return None
-            tokens.append(tok)
-    except UnicodeDecodeError:
+    tokens = _texts(block, starts[label_idx::n_cols], ends[label_idx::n_cols])
+    if tokens is None or not MISSING_TOKENS.isdisjoint(map(str.lower, tokens)):
         return None
 
     # the per-cell temporaries, a few hundred bytes a cell, scale with the
     # cells in one call, and a block of one-digit cells has BLOCK_BYTES / 2
     columns = np.arange(n_cols) != label_idx
-    cells = [a.reshape(-1, n_cols)[:, columns] for a in (sep, starts, ends)]
+    bounds = [a.reshape(-1, n_cols)[:, columns] for a in (sep, starts, ends)]
     rows = max(1, _CHUNK_CELLS // (n_cols - 1))
     values = np.concatenate([
-        _feature_values(block, buf, pos, byte, code, *(a[r:r + rows].ravel() for a in cells))
-        for r in range(0, len(cells[0]), rows)])
+        _feature_values(block, cells, *(a[r:r + rows].ravel() for a in bounds))
+        for r in range(0, len(bounds[0]), rows)])
     return values, tokens
 
 
-def _feature_values(block, buf, pos, byte, code, sep, starts, ends):
-    """float64 values of grammar-checked feature cells, given the skeleton
-    (pos, byte, code), each cell's separator index in it, and its bounds."""
+def _feature_values(block, cells, sep, starts, ends):
+    """float64 values of grammar-checked feature cells, given the block's
+    skeleton, each cell's separator index in it, and its bounds."""
+    buf, pos, byte, code = cells.buf, cells.pos, cells.byte, cells.code
     # walk back from each cell's separator over [e [sign] digits] and [. digits];
     # index -1 reads the block's last byte, a LF
     mant_end = ends.copy()

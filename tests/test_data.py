@@ -1,4 +1,6 @@
 import csv
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -389,6 +391,12 @@ READER_FILES = {
     "header only": b"a,b,label\n\r\n",
     "empty": b"\n\n",
     "wider header": b"a,b,c,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n",
+    # an empty cell after a comma is not a blank line, so no row may take
+    # the next line's cells
+    "empty last cell, short row": b"a,b,label\n1,2,x\n3,\n4,y\n5,6,x\n7,8,y\n",
+    "empty label, label below": b"a,b,label\n1,2,x\n3,4,\nx\n5,6,x\n7,8,y\n",
+    "first row's label below": b"a,b,label\n1,2,\nx\n3,4,y\n5,6,x\n7,8,y\n",
+    "empty label, last line": b"a,b,label\n1,2,x\n3,4,y\n5,6,x\n7,8,y\n1,2,\n",
 }
 for cell in ["1_0", " 1.5", "1.5 ", ".5", "5.", "inf", "nan", "1e", "1e+", "e5", "--1",
              "+-1", "1-1", "1.2.3", "1e5e5", "1e5.5", "0x10", "\u0661", ""]:
@@ -397,7 +405,10 @@ for cell in ["1_0", " 1.5", "1.5 ", ".5", "5.", "inf", "nan", "1e", "1e+", "e5",
 
 @pytest.mark.parametrize("name", READER_FILES)
 @pytest.mark.parametrize("label_column", [-1, "a", "b", 1, 5])
-def test_fallback_files_get_the_readers_result_or_error(tmp_path, name, label_column):
+@pytest.mark.parametrize("block", [1, data_module.BLOCK_BYTES])
+def test_fallback_files_get_the_readers_result_or_error(tmp_path, monkeypatch, name,
+                                                        label_column, block):
+    monkeypatch.setattr(data_module, "BLOCK_BYTES", block)
     p = tmp_path / "d.csv"
     p.write_bytes(READER_FILES[name])
     assert _plain_result(p, label_column=label_column) is None
@@ -483,3 +494,21 @@ def test_plain_pass_matches_float_bit_for_bit(tmp_path_factory, cells, width, bl
         assert _plain_result(p, has_header=False) is not None
         ds = load_csv(p, has_header=False)
     assert ds.features.view(np.uint64).ravel().tolist() == want
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("data", [
+    b"\xef\xbb\xbfa,b,label\r\n1.5,2,x\r\n3,4e-2,y\r\n5,6,x\r\n7,8,y\r\n",
+    b"a,b,label\n1,2,x\n3,4,y\n5,6\n7,8,y\n",
+], ids=["plain", "ragged"])
+def test_a_pipe_loads_as_the_same_file_does(tmp_path, data):
+    (tmp_path / "d.csv").write_bytes(data)
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        got = _outcome(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert repr(got).replace("fifo.csv", "d.csv") == repr(_outcome(tmp_path / "d.csv"))
