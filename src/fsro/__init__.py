@@ -21,7 +21,7 @@ from .core import (
 )
 from .data import Dataset, Split, generate_m_of_n, load_csv, save_csv, stratified_split
 from .engine import FsroParams, initialize, run_search, step
-from .fitness import FitnessEvaluator, FitnessParams, error_rate
+from .fitness import FitnessEvaluator, FitnessParams
 from .rng import RngStream
 
 __version__ = "0.1.0"

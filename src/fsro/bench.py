@@ -12,7 +12,6 @@ import enum
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +111,8 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     seeds = [base_seed + k for k in range(m_runs)]
     workers = min(workers, m_runs)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off one-worker start-up
+
         inputs = (algorithm, dataset, algo_params, fit_params)
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(max(1, _cpu_count() // workers), inputs)) as pool:

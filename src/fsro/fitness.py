@@ -72,10 +72,6 @@ class FitnessParams:
     k_neighbors: int = 5
     train_fraction: float = 0.8
 
-    @property
-    def beta(self) -> float:
-        return 1.0 - self.alpha
-
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0,1], got {self.alpha}")
@@ -274,29 +270,6 @@ def _vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
     rows = np.repeat(np.arange(neighbor_labels.shape[0]), neighbor_labels.shape[1])
     np.add.at(counts, (rows, neighbor_labels.ravel()), 1)
     return counts.argmax(axis=1)
-
-
-def knn_predict(train_x: np.ndarray, train_y: np.ndarray, queries: np.ndarray,
-                k: int, mask: np.ndarray) -> np.ndarray:
-    """Predict class labels for each query row using masked Euclidean KNN."""
-    mask = np.asarray(mask)
-    if not mask.any():
-        raise ValueError("mask selects no features; repair masks before evaluating")
-    if k > train_x.shape[0]:
-        raise ValueError(f"k={k} exceeds training-set size {train_x.shape[0]}")
-    scratch = np.empty((queries.shape[0], train_x.shape[0]))
-    d2 = np.empty_like(scratch)
-    _accumulate([d2], mask[None, :], queries.T, train_x.T, scratch)
-    neighbors = _nearest_indices(d2, k)
-    n_classes = int(train_y.max()) + 1
-    return _vote(train_y[neighbors], n_classes)
-
-
-def error_rate(train_x: np.ndarray, train_y: np.ndarray, test_x: np.ndarray,
-               test_y: np.ndarray, k: int, mask: np.ndarray) -> float:
-    """Fraction of test instances misclassified by masked KNN."""
-    pred = knn_predict(train_x, train_y, test_x, k, mask)
-    return float(np.mean(pred != test_y))
 
 
 def fitness_value(err: float, selected_count: int, total_features: int, alpha: float) -> float:

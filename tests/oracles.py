@@ -1,8 +1,8 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here is deliberately written the slow, obvious way (plain Python
-loops, no shared helpers from the package) so a bug in the implementation
-cannot hide in its oracle.
+Everything here but the one-mask reference at the end is deliberately
+written the slow, obvious way (plain Python loops, no shared helpers from
+the package) so a bug in the implementation cannot hide in its oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import itertools
 import math
 
 import numpy as np
+
+from fsro import fitness
 
 
 def brute_knn_classify(train_x, train_y, query, k, mask):
@@ -141,3 +143,28 @@ def scalar_m_of_n_bits(n_instances, d, rng):
     """The m-of-n bit table, one bit() per cell in row order."""
     return np.array([[rng.bit() for _ in range(d)] for _ in range(n_instances)],
                     dtype=np.float64)
+
+
+# The one-mask reference: not independent, it is the package's own distance
+# sum, top-k and vote on one mask, with no cache, batch, screen or blocks.
+# The evaluator's batched paths must give its results bit for bit.
+
+def knn_predict(train_x, train_y, queries, k, mask):
+    """Predict class labels for each query row using masked Euclidean KNN."""
+    mask = np.asarray(mask)
+    if not mask.any():
+        raise ValueError("mask selects no features; repair masks before evaluating")
+    if k > train_x.shape[0]:
+        raise ValueError(f"k={k} exceeds training-set size {train_x.shape[0]}")
+    scratch = np.empty((queries.shape[0], train_x.shape[0]))
+    d2 = np.empty_like(scratch)
+    fitness._accumulate([d2], mask[None, :], queries.T, train_x.T, scratch)
+    neighbors = fitness._nearest_indices(d2, k)
+    n_classes = int(train_y.max()) + 1
+    return fitness._vote(train_y[neighbors], n_classes)
+
+
+def error_rate(train_x, train_y, test_x, test_y, k, mask):
+    """Fraction of test instances misclassified by masked KNN."""
+    pred = knn_predict(train_x, train_y, test_x, k, mask)
+    return float(np.mean(pred != test_y))

@@ -1,5 +1,8 @@
+import concurrent.futures
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -87,7 +90,7 @@ def test_pool_is_no_larger_than_the_run_count(monkeypatch):
         sizes.append(max_workers)
         return ThreadPoolExecutor(max_workers, initializer=initializer, initargs=initargs)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     # the worker set-up runs in this process's threads: record its BLAS cap
     # instead of applying it, and put the input slot back afterwards
     monkeypatch.setattr(blas, "set_threads", caps.append)
@@ -99,6 +102,15 @@ def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     assert [r.best_fitness for r in pooled] == [r.best_fitness for r in serial]
     _tiny_experiment(1, 8)  # one run takes no pool
     assert sizes == [3]
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # a one-worker command starts no pool, so it should not import one
+    src = os.path.dirname(os.path.dirname(bench.__file__))
+    code = "import sys, fsro.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def _report_blas_threads(real_run_single):

@@ -7,14 +7,8 @@ from conftest import make_evaluator
 from fsro import FitnessParams, RngStream, blas, fitness, generate_m_of_n
 from fsro.core import ConfigError, new_mask
 from fsro.data import Dataset, Split, stratified_split
-from fsro.fitness import (
-    FitnessEvaluator,
-    error_rate,
-    fitness_value,
-    knn_predict,
-    minmax_normalize,
-)
-from oracles import brute_error_rate, brute_knn_classify
+from fsro.fitness import FitnessEvaluator, fitness_value, minmax_normalize
+from oracles import brute_error_rate, brute_knn_classify, error_rate, knn_predict
 
 
 def test_normalize_midpoint():
@@ -121,7 +115,7 @@ def test_fitness_hand_values():
 
 def test_fitness_full_mask_zero_error_equals_beta():
     params = FitnessParams(alpha=0.9)
-    assert fitness_value(0.0, 13, 13, params.alpha) == pytest.approx(params.beta)
+    assert fitness_value(0.0, 13, 13, params.alpha) == pytest.approx(1.0 - params.alpha)
 
 
 def test_fitness_monotone_in_subset_size_at_equal_error():
@@ -135,7 +129,6 @@ def test_params_validation():
         FitnessParams(alpha=1.5)
     with pytest.raises(ConfigError):
         FitnessParams(k_neighbors=0)
-    assert FitnessParams(alpha=0.7).beta == pytest.approx(0.3)
 
 
 def test_evaluator_bounds_and_cache(small_m_of_n):
