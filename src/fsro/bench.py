@@ -22,7 +22,7 @@ from .core import ConfigError, RunResult
 from .data import Dataset, stratified_split
 from .engine import FsroParams
 from .fitness import FitnessEvaluator, FitnessParams
-from .rng import RngStream
+from .rng import MASK64, RngStream
 
 # each algorithm's params class; its search(dim, evaluate, rng) runs it
 ALGORITHMS = {"fsro": FsroParams, "ga": GaParams, "bpso": BpsoParams}
@@ -109,6 +109,9 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     if workers < 1:
         raise ConfigError(f"need at least one worker, got {workers}")
     seeds = [base_seed + k for k in range(m_runs)]
+    # checked before any run starts; a stream takes seeds in [0, 2**64)
+    if seeds[0] < 0 or seeds[-1] > MASK64:
+        raise ConfigError(f"run seeds {seeds[0]}..{seeds[-1]} must be in [0, 2**64)")
     workers = min(workers, m_runs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off one-worker start-up

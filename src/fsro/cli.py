@@ -47,18 +47,19 @@ def _load_dataset(args) -> Dataset:
     return load_csv(args.dataset, label_column=args.label_column, has_header=not args.no_header)
 
 
-def _algo_params(args, algorithm: str):
-    """The algorithm's params, each field from the flag whose dest is its name."""
-    cls = ALGORITHMS.get(algorithm)
-    # argparse checks choices on the command line only, not on config defaults
-    if cls is None:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; "
-                          f"expected one of {', '.join(ALGORITHMS)}")
+def _params(cls, args):
+    """`cls` with each field set by the flag whose dest is its name; a field
+    whose flag is absent, on the command line and in the config, keeps the
+    class default."""
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
-def _fitness_params(args) -> FitnessParams:
-    return FitnessParams(alpha=args.alpha, k_neighbors=args.knn_k)
+def _algo_params(args, algorithm: str):
+    # argparse checks choices on the command line only, not on config defaults
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; "
+                          f"expected one of {', '.join(ALGORITHMS)}")
+    return _params(ALGORITHMS[algorithm], args)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -104,7 +105,7 @@ def _print_summary(dataset: Dataset, algorithm: str, summary) -> None:
 def cmd_run(args) -> int:
     dataset = _load_dataset(args)
     algo_params = _algo_params(args, args.algorithm)
-    fit_params = _fitness_params(args)
+    fit_params = _params(FitnessParams, args)
     out = Path(args.out)
     results, summary = run_experiment(args.algorithm, dataset, algo_params,
                                       fit_params, args.runs, args.seed,
@@ -125,7 +126,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"compare needs two different algorithms, got {algo_a!r} twice")
     algo_params = {algo: _algo_params(args, algo) for algo in (algo_a, algo_b)}
     dataset = _load_dataset(args)
-    fit_params = _fitness_params(args)
+    fit_params = _params(FitnessParams, args)
     out = Path(args.out)
     results = {}
     for algo in (algo_a, algo_b):
@@ -171,34 +172,37 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    # A flag whose dest is the name of a params field sets that field in
+    # every params class that has it (_params). Its default is the class's:
+    # an absent flag sets no attribute.
+    def param(*flag, **kwargs):
+        p.add_argument(*flag, default=argparse.SUPPRESS, **kwargs)
+
     p.add_argument("--runs", type=int, default=30, help="number of seeded runs")
-    # a flag whose dest is the name of a params field sets that field in
-    # every algorithm that has it (_algo_params)
-    p.add_argument("--iterations", dest="max_iterations", type=int, default=100)
-    p.add_argument("--pop-size", dest="population_size", type=int, default=40)
+    param("--iterations", dest="max_iterations", type=int)
+    param("--pop-size", dest="population_size", type=int)
     p.add_argument("--seed", type=int, default=1, help="base seed; run k uses seed+k")
-    p.add_argument("--alpha", type=float, default=0.9,
-                   help="weight of the error term in the fitness")
-    p.add_argument("--knn-k", type=int, default=5)
+    param("--alpha", type=float, help="weight of the error term in the fitness")
+    param("--knn-k", dest="k_neighbors", type=int, metavar="KNN_K")
     p.add_argument("--out", default="fsro_out", help="output directory")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel run workers; pool workers share the CPUs' BLAS "
                         "threads, a serial run keeps them all")
     p.add_argument("--config", help="key=value file; explicit flags win")
     # frog-snake engine overrides
-    p.add_argument("--max-dis", type=float, default=80.0)
-    p.add_argument("--decision-dis", type=float, default=6.0)
-    p.add_argument("--w1", type=float, default=0.75)
-    p.add_argument("--w2", type=float, default=1.0)
-    p.add_argument("--d1", type=float, default=40.0)
-    p.add_argument("--d2", type=float, default=20.0)
+    param("--max-dis", type=float)
+    param("--decision-dis", type=float)
+    param("--w1", type=float)
+    param("--w2", type=float)
+    param("--d1", type=float)
+    param("--d2", type=float)
     # ga overrides
-    p.add_argument("--crossover-rate", type=float, default=0.8)
-    p.add_argument("--mutation-rate", type=float, default=0.3)
+    param("--crossover-rate", type=float)
+    param("--mutation-rate", type=float)
     # bpso overrides
-    p.add_argument("--inertia", dest="inertia_weight", type=float, default=1.0)
-    p.add_argument("--cognitive", dest="cognitive_factor", type=float, default=2.0)
-    p.add_argument("--social", dest="social_factor", type=float, default=2.0)
+    param("--inertia", dest="inertia_weight", type=float)
+    param("--cognitive", dest="cognitive_factor", type=float)
+    param("--social", dest="social_factor", type=float)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

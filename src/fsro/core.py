@@ -35,16 +35,6 @@ def require_finite(params, *names: str) -> None:
             raise ConfigError(f"{name} must be finite, got {getattr(params, name)}")
 
 
-def new_mask(bits) -> np.ndarray:
-    """Build a validated mask from any 0/1 sequence."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("mask must be a non-empty 1-D sequence")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("mask elements must be 0 or 1")
-    return arr
-
-
 def mask_key(mask: np.ndarray) -> bytes:
     """Hashable cache key; equal masks yield equal keys."""
     return mask.tobytes()

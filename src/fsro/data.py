@@ -86,8 +86,7 @@ def _validate_classes(labels: np.ndarray, name: str) -> None:
         )
 
 
-def load_csv(path, label_column: int | str = -1, has_header: bool = True,
-             name: str | None = None) -> Dataset:
+def load_csv(path, label_column: int | str = -1, has_header: bool = True) -> Dataset:
     """Load a numeric-feature CSV with one label column.
 
     label_column is an index, or a header name; a name the header lacks is
@@ -97,8 +96,8 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
     are non-numeric feature cells, ragged rows and a header whose width is
     not the rows'; the error names the offending position and counts how
     many rows were affected. A file that cannot be opened or is not UTF-8
-    text is a DataError naming the path. A leading byte-order mark is
-    dropped.
+    text is a DataError naming the path; not being UTF-8 wins over every
+    other error in the file. A leading byte-order mark is dropped.
 
     A plain numeric file is parsed by one np.loadtxt call, with no Python
     object per feature cell; any other file, a pipe, and every error go
@@ -119,7 +118,7 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
         if parsed is None:
             with io.TextIOWrapper(f, encoding="utf-8-sig", newline="") as text:
                 try:
-                    parsed = _read_rows(csv.reader(text), path, label_column, has_header)
+                    parsed = _read_text(text, path, label_column, has_header)
                 except UnicodeDecodeError as e:
                     raise DataError(f"{path}: file is not UTF-8 text ({e.reason})") from e
     features, label_tokens, header, label_idx = parsed
@@ -129,7 +128,7 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
     labels = [mapping.setdefault(tok, len(mapping)) for tok in label_tokens]
 
     ds = Dataset(
-        name=name or path,
+        name=path,
         features=features,
         labels=np.asarray(labels, dtype=np.int64),
         feature_names=[h for i, h in enumerate(header) if i != label_idx] if header else None,
@@ -138,6 +137,21 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True,
         raise DataError(f"{path}: no feature columns found")
     _validate_classes(ds.labels, path)
     return ds
+
+
+def _read_text(text, path: str, label_column: int | str, has_header: bool):
+    """_read_rows by csv.reader. Before a parse or config error is raised the
+    rest of the text is decoded, a chunk at a time, so a byte that is not
+    UTF-8 raises UnicodeDecodeError instead wherever it sits in the file."""
+    reader = csv.reader(text)
+    try:
+        return _read_rows(reader, path, label_column, has_header)
+    except (ConfigError, DataError, csv.Error) as e:
+        while text.read(1 << 16):
+            pass
+        if isinstance(e, csv.Error):  # an over-long cell, or a NUL on Python 3.10
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from e
+        raise
 
 
 def _read_rows(reader, path: str, label_column: int | str, has_header: bool):

@@ -279,56 +279,27 @@ def fitness_value(err: float, selected_count: int, total_features: int, alpha: f
 class FitnessEvaluator:
     """Cached mask -> fitness function over one normalized train/test split.
 
-    The split is normalized once and held feature-major: C-contiguous
-    (n_features, n_test) and (n_features, n_train) row arrays, so one
-    feature's values are one contiguous row. `test_x` and `train_x` are
-    transposed views of those rows, not second copies.
+    It holds the split, normalized once and feature-major: C-contiguous
+    (n_features, n_test) and (n_features, n_train) row arrays, of which
+    `test_x` and `train_x` are transposed views, not second copies. It also
+    holds the labels, the neighbor path chosen once by `_is_binary`
+    (`_key_dtype` is None on the float path) and the mask cache, a plain
+    dict of (error, fitness) by mask bytes. How each path finds the exact
+    neighbors is in the module docstring.
 
-    `evaluate_all(masks)` is the optimizers' entry point: it scores a whole
-    generation. Duplicate and cached masks are dropped, and the rest are
-    scored together, one block of test rows at a time. A block has as many
-    rows as keep each per-mask buffer of the batch within BLOCK_BYTES (at
-    least one row). Each block yields the k neighbors of all of its (mask,
-    test row) pairs; the vote runs once over them, and wrong predictions are
-    counted per mask.
+    - `evaluate_all(masks)` is the optimizers' entry point: it scores a
+      generation. Cached and duplicate masks are dropped, and `_score` scores
+      the rest together, one block of test rows at a time. A block keeps each
+      per-mask buffer within BLOCK_BYTES (at least one row). No buffer
+      survives a batch.
+    - `__call__(mask)` gives one mask's fitness. Inside `evaluate_all` it is
+      called once per mask, and its first cache miss scores the whole
+      pending batch, so wrapping `__call__` observes every evaluation and its
+      kernel time.
+    - `accuracy(mask)` gives 1 - error on the test rows.
 
-    Which path finds the neighbors is chosen once, here, by one predicate:
-    `_is_binary` of the normalized rows.
-
-    - Real-valued splits take the float path: screen, gap test, exact
-      recheck. For each block, one GEMM of the masked test rows (every mask
-      times every test row of the block) against the train rows gives b - 2Q
-      for all pairs, and `_nearest_and_gap` makes k argmin passes over it
-      plus one for the gap. A pair whose gap exceeds twice
-      `_screen_tolerance` keeps the screened neighbors: the error bound in
-      the module docstring makes them the exact neighbor set. The block's
-      other pairs go to `_recheck`, where `_accumulate` squares each selected
-      feature's tile once for the flagged masks and flagged rows and adds it
-      into every flagged mask that selects it, and `_nearest_indices` ranks
-      the exact sums with the tie rule. With every pair flagged, the block
-      costs the screen plus one exact block.
-    - Splits whose values are all 0.0 or 1.0 take the bit path. The rows and
-      the masks are packed into uint64 words per batch. For each block, the
-      test ^ train words are computed once for all masks, `_bit_keys` turns
-      each mask's popcounts into composite keys distance << shift | index,
-      held in `_key_dtype`, and `_nearest_keys` makes k `min` passes. The
-      popcount equals the exact distance, and the keys rank as (distance,
-      index) does, so both paths take the same neighbors.
-
-    The vote depends only on the neighbor set, and on either path each
-    (mask, test row) pair gets the exact distances' neighbor set, so the
-    outputs carry the same bits as `_accumulate` and `_nearest_indices` for
-    one mask at a time over the whole split. Buffers are built per batch
-    from the normalized rows alone: there is no precomputed distance stack,
-    squared or packed copy of the split, and no buffer survives a batch.
-
-    `__call__` scores one mask. Inside `evaluate_all` it is called once per
-    mask, and its first cache miss scores the whole pending batch, so
-    wrapping `__call__` observes every evaluation and its kernel time.
-
-    The pending batch makes an evaluator belong to one run: it is not
-    reentrant and must not be shared between threads. The mask cache is a
-    plain dict owned by that run.
+    The pending batch ties an evaluator to one run: it is not reentrant and
+    must not be shared between threads.
     """
 
     def __init__(self, dataset: Dataset, split: Split, params: FitnessParams):

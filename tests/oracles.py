@@ -1,8 +1,9 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here but the one-mask reference at the end is deliberately
-written the slow, obvious way (plain Python loops, no shared helpers from
-the package) so a bug in the implementation cannot hide in its oracle.
+Everything here but the one-mask reference and `new_mask` at the end is
+deliberately written the slow, obvious way (plain Python loops, no shared
+helpers from the package) so a bug in the implementation cannot hide in its
+oracle.
 """
 
 from __future__ import annotations
@@ -168,3 +169,13 @@ def error_rate(train_x, train_y, test_x, test_y, k, mask):
     """Fraction of test instances misclassified by masked KNN."""
     pred = knn_predict(train_x, train_y, test_x, k, mask)
     return float(np.mean(pred != test_y))
+
+
+def new_mask(bits) -> np.ndarray:
+    """Build a validated mask from any 0/1 sequence."""
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("mask must be a non-empty 1-D sequence")
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("mask elements must be 0 or 1")
+    return arr

@@ -11,8 +11,9 @@ from fsro.baselines import (
     ga_step,
     sigmoid_transfer,
 )
-from fsro.core import ConfigError, new_mask
+from fsro.core import ConfigError
 from fsro.rng import RngStream
+from oracles import new_mask
 
 
 def count_ones(mask):

@@ -58,16 +58,37 @@ def test_normal_branch_matches_scipy(n):
     assert p == pytest.approx(want, rel=0, abs=1e-12)
 
 
-def _tiny_experiment(m_runs, workers):
+def _tiny_experiment(m_runs, workers, base_seed=7):
     dataset = generate_m_of_n(2, 1, 2, 40, RngStream(3))
     return run_experiment("ga", dataset, GaParams(population_size=4, max_iterations=1),
-                          FitnessParams(), m_runs, 7, workers=workers)
+                          FitnessParams(), m_runs, base_seed, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_fewer_than_one_worker_is_rejected(workers):
     with pytest.raises(ConfigError, match="worker"):
         _tiny_experiment(2, workers)
+
+
+@pytest.mark.parametrize("base_seed,m_runs", [(-1, 1), (-3, 5), (2**64, 1), (2**64 - 2, 3)])
+def test_run_seeds_outside_the_stream_range_fail_before_any_run(base_seed, m_runs,
+                                                                monkeypatch):
+    started = []
+    real = bench.run_single
+
+    def run_single(*args):
+        started.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(bench, "run_single", run_single)
+    with pytest.raises(ConfigError, match=r"must be in \[0, 2\*\*64\)"):
+        _tiny_experiment(m_runs, 1, base_seed)
+    assert started == []
+
+
+def test_last_run_seed_below_2_64_is_accepted():
+    results, _ = _tiny_experiment(3, 1, 2**64 - 3)
+    assert [r.seed for r in results] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
 
 
 def _cpus():

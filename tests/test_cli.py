@@ -7,9 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fsro import RngStream, generate_m_of_n
+from fsro import FitnessParams, FsroParams, RngStream, cli, generate_m_of_n
 from fsro.bench import ALGORITHMS
-from fsro.cli import _algo_params, _load_dataset, build_parser, main
+from fsro.cli import _load_dataset, _params, build_parser, main
 from fsro.data import load_csv
 
 TINY = ["--synthetic", "m-of-n:2,1,2,40", "--seed", "3", "--pop-size", "4"]
@@ -37,6 +37,16 @@ def test_non_utf8_dataset_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and str(data) in err
     assert "UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("a,b,label\n0,1,x\n1," + "3" * 140_000 + ",y\n", encoding="utf-8")
+    code, err = _run(["run", "--dataset", str(data), "--out", str(tmp_path / "out")],
+                     capsys)
+    assert code == 2
+    assert err.startswith(f"error: {data}: line 3: field larger than field limit")
     assert not (tmp_path / "out").exists()
 
 
@@ -189,22 +199,76 @@ def test_compare_one_algorithm_twice_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _set_every_flag(cls, command):
+    """Parse `command` with each flag of a `cls` field set off its class
+    default; return the params built and the values set."""
+    names = {f.name for f in fields(cls)}
+    parser, sub_map = build_parser()
+    argv, want = [command], {}
+    for action in sub_map[command]._actions:
+        if action.dest in names:
+            default = getattr(cls(), action.dest)
+            value = default + 2 if action.type is int else default / 2
+            argv += [action.option_strings[0], str(value)]
+            want[action.dest] = value
+    assert want and all(want[f] != getattr(cls(), f) for f in want)
+    return _params(cls, parser.parse_args(argv)), want
+
+
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_every_algorithm_flag_sets_its_params_field(name):
     # a misspelled dest would leave its field at the default without an error
     cls = ALGORITHMS[name]
-    names = {f.name for f in fields(cls)}
-    parser, sub_map = build_parser()
-    argv, want = ["run", "--algorithm", name], {}
-    for action in sub_map["run"]._actions:
-        if action.dest in names:
-            value = action.default + 2 if action.type is int else action.default / 2
-            argv += [action.option_strings[0], str(value)]
-            want[action.dest] = value
-    params = _algo_params(parser.parse_args(argv), name)
-    assert set(want) == names - {"ess_threshold", "velocity_clamp"}
-    assert {f: getattr(params, f) for f in want} == want
-    assert all(want[f] != getattr(cls(), f) for f in want)
+    for command in ("run", "compare"):
+        params, want = _set_every_flag(cls, command)
+        assert set(want) == {f.name for f in fields(cls)} - {"ess_threshold", "velocity_clamp"}
+        assert {f: getattr(params, f) for f in want} == want
+
+
+def test_alpha_and_knn_k_set_their_fitness_params_fields():
+    for command in ("run", "compare"):
+        params, want = _set_every_flag(FitnessParams, command)
+        assert want.keys() == {"alpha", "k_neighbors"}
+        assert {f: getattr(params, f) for f in want} == want
+
+
+class _Stop(Exception):
+    pass
+
+
+def _built_params(argv, monkeypatch):
+    """The (algorithm params, fitness params) that `main(argv)` passes to its
+    first run_experiment call, which runs nothing."""
+    built = []
+
+    def run_experiment(algorithm, dataset, algo_params, fit_params, *args, **kwargs):
+        built.append((algo_params, fit_params))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    with pytest.raises(_Stop):
+        main([*argv, "--synthetic", "m-of-n:2,1,2,40"])
+    return built[0]
+
+
+@pytest.mark.parametrize("argv,name", [
+    *((["run", "--algorithm", name], name) for name in sorted(ALGORITHMS)),
+    # compare runs its first algorithm first
+    *((["compare", "--algorithms", a, b], a)
+      for a, b in (("bpso", "fsro"), ("fsro", "ga"), ("ga", "bpso"))),
+])
+def test_without_params_flags_params_are_the_class_defaults(argv, name, monkeypatch):
+    algo_params, fit_params = _built_params(argv, monkeypatch)
+    assert algo_params == ALGORITHMS[name]()
+    assert fit_params == FitnessParams()
+
+
+def test_config_values_set_params_fields(tmp_path, monkeypatch):
+    config = tmp_path / "fsro.cfg"
+    config.write_text("knn-k = 3\nw1 = 0.5\n", encoding="utf-8")
+    algo_params, fit_params = _built_params(["run", "--config", str(config)], monkeypatch)
+    assert algo_params == FsroParams(w1=0.5)
+    assert fit_params == FitnessParams(k_neighbors=3)
 
 
 def test_compare_exits_0_and_writes_its_files(tmp_path, capsys):

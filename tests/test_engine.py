@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_evaluator
-from fsro.core import ConfigError, Group, new_mask
+from fsro.core import ConfigError, Group
 from fsro.engine import (
     CrossoverRecord,
     _crossover,
@@ -29,7 +29,7 @@ from fsro.engine import (
 )
 from fsro.core import Agent, PopulationState
 from fsro.rng import RngStream
-from oracles import scalar_uniform_crossover
+from oracles import new_mask, scalar_uniform_crossover
 
 ZEROS6 = new_mask([0] * 6)
 ONES6 = new_mask([1] * 6)

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import make_evaluator
 from fsro import FitnessParams, RngStream, blas, fitness, generate_m_of_n
-from fsro.core import ConfigError, new_mask
+from fsro.core import ConfigError
 from fsro.data import Dataset, Split, stratified_split
 from fsro.fitness import FitnessEvaluator, fitness_value, minmax_normalize
-from oracles import brute_error_rate, brute_knn_classify, error_rate, knn_predict
+from oracles import brute_error_rate, brute_knn_classify, error_rate, knn_predict, new_mask
 
 
 def test_normalize_midpoint():
