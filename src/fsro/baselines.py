@@ -3,7 +3,7 @@
 Both are elitist, use the same zero-mask repair, and consume one RngStream in
 a fixed order, so their runs replay exactly like the main engine's. Each run
 is its initialisation plus one `core.drive` call: GA's state is (population,
-fitness), BPSO's is `bpso_step`'s arguments up to the (gbest, gbest_fit) it returns.
+fitness), BPSO's the six arrays and values that `bpso_step` takes and returns.
 
 They take the engine's batch protocol, `evaluate(masks) -> list[float]`,
 called once for the initial population and once per generation after all
@@ -154,10 +154,9 @@ def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcom
                  lambda state: _best(*state))
 
 
-def _fly(positions: list[np.ndarray], velocities: list[np.ndarray],
-         pbest: list[np.ndarray], gbest: np.ndarray, params: BpsoParams,
-         rng: RngStream) -> None:
-    """The sweep's draws: every particle's new velocity and position, in place.
+def _fly(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray, gbest: np.ndarray,
+         params: BpsoParams, rng: RngStream) -> list[np.ndarray]:
+    """The sweep's draws: every particle's new [position, velocity] rows.
 
     Kept apart from bpso_step, so its arrays are freed before the batch is
     scored.
@@ -165,54 +164,51 @@ def _fly(positions: list[np.ndarray], velocities: list[np.ndarray],
     w, c1, c2 = params.inertia_weight, params.cognitive_factor, params.social_factor
     clamp = params.velocity_clamp
     dim = gbest.size
-    x = np.array(positions, dtype=np.float64)
-    v = np.array(velocities, dtype=np.float64)
-    to_pbest = np.array(pbest, dtype=np.float64) - x
-    to_gbest = gbest.astype(np.float64) - x
+    to_pbest = pbest.astype(np.float64) - positions
+    to_gbest = gbest.astype(np.float64) - positions
 
     def sweep(first, raws):
         # (w*v + c1*r1*(pbest - x)) + c2*r2*(gbest - x), as the scalar form
         rows = slice(first, first + len(raws))
         r = uniforms(raws)
-        vel = w * v[rows]
+        vel = w * velocities[rows]
         vel += c1 * r[:, 0:2 * dim:2] * to_pbest[rows]
         vel += c2 * r[:, 1:2 * dim:2] * to_gbest[rows]
         np.clip(vel, -clamp, clamp, out=vel)
         return _sample_bits(vel, r[:, 2 * dim:]), vel
 
-    new_x, new_v = draw_rows(rng, len(positions), 3 * dim, sweep)
-    for i in range(len(positions)):
-        positions[i][:] = new_x[i]
-        velocities[i][:] = new_v[i]
+    return draw_rows(rng, len(positions), 3 * dim, sweep)
 
 
-def bpso_step(positions: list[np.ndarray], velocities: list[np.ndarray],
-              pbest: list[np.ndarray], pbest_fit: list[float],
-              gbest: np.ndarray, gbest_fit: float,
+def bpso_step(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray,
+              pbest_fit: np.ndarray, gbest: np.ndarray, gbest_fit: float,
               params: BpsoParams, evaluate, rng: RngStream):
     """One synchronous swarm sweep: velocities first, then sigmoid resampling,
     then one batch evaluation and the personal- and global-best updates.
+    Takes and returns the swarm: (n, d) positions, velocities and personal
+    bests, their fitness, and the global best and its fitness.
 
     Per particle, the draw order is the cognitive and then the social
     uniform for each dimension, one sampling uniform per dimension, and the
     repair draw if the new position is all-zero.
     """
-    _fly(positions, velocities, pbest, gbest, params, rng)
-    for i, (x, fit) in enumerate(zip(positions, evaluate(positions))):
-        if fit < pbest_fit[i]:
-            pbest_fit[i] = fit
-            pbest[i] = x.copy()
-    best_fit, best = _best(pbest, pbest_fit)
-    return (best.copy(), best_fit) if best_fit < gbest_fit else (gbest, gbest_fit)
+    positions, velocities = _fly(positions, velocities, pbest, gbest, params, rng)
+    fitness = np.array(evaluate(list(positions)), dtype=np.float64)
+    better = fitness < pbest_fit
+    pbest = np.where(better[:, None], positions, pbest)
+    pbest_fit = np.where(better, fitness, pbest_fit)
+    i = int(np.argmin(pbest_fit))  # the first wins ties
+    if pbest_fit[i] < gbest_fit:
+        gbest, gbest_fit = pbest[i].copy(), float(pbest_fit[i])
+    return positions, velocities, pbest, pbest_fit, gbest, gbest_fit
 
 
 def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
-    positions = random_masks(params.population_size, dim, rng)
-    velocities = [np.zeros(dim) for _ in range(params.population_size)]
-    pbest = [x.copy() for x in positions]
-    pbest_fit = evaluate(positions)
-    gbest_fit, gbest = _best(pbest, pbest_fit)
-    return drive(params.max_iterations,
-                 (positions, velocities, pbest, pbest_fit, gbest.copy(), gbest_fit),
-                 lambda swarm: (*swarm[:4], *bpso_step(*swarm, params, evaluate, rng)),
+    positions = np.array(random_masks(params.population_size, dim, rng))
+    fitness = evaluate(list(positions))
+    gbest_fit, gbest = _best(positions, fitness)
+    # bpso_step replaces the swarm's arrays and writes none, so they may share rows
+    swarm = (positions, np.zeros(positions.shape), positions, np.array(fitness), gbest, gbest_fit)
+    return drive(params.max_iterations, swarm,
+                 lambda swarm: bpso_step(*swarm, params, evaluate, rng),
                  lambda swarm: (swarm[5], swarm[4]))

@@ -54,14 +54,6 @@ def _params(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
-def _algo_params(args, algorithm: str):
-    # argparse checks choices on the command line only, not on config defaults
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; "
-                          f"expected one of {', '.join(ALGORITHMS)}")
-    return _params(ALGORITHMS[algorithm], args)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -104,7 +96,7 @@ def _print_summary(dataset: Dataset, algorithm: str, summary) -> None:
 
 def cmd_run(args) -> int:
     dataset = _load_dataset(args)
-    algo_params = _algo_params(args, args.algorithm)
+    algo_params = _params(ALGORITHMS[args.algorithm], args)
     fit_params = _params(FitnessParams, args)
     out = Path(args.out)
     results, summary = run_experiment(args.algorithm, dataset, algo_params,
@@ -124,7 +116,7 @@ def cmd_compare(args) -> int:
     algo_a, algo_b = args.algorithms
     if algo_a == algo_b:
         raise ConfigError(f"compare needs two different algorithms, got {algo_a!r} twice")
-    algo_params = {algo: _algo_params(args, algo) for algo in (algo_a, algo_b)}
+    algo_params = {algo: _params(ALGORITHMS[algo], args) for algo in (algo_a, algo_b)}
     dataset = _load_dataset(args)
     fit_params = _params(FitnessParams, args)
     out = Path(args.out)
@@ -163,8 +155,9 @@ def cmd_gen(args) -> int:
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="CSV file with numeric features and one label column")
-    p.add_argument("--synthetic", help="synthetic spec, e.g. m-of-n:6,3,7,1000")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dataset", help="CSV file with numeric features and one label column")
+    source.add_argument("--synthetic", help="synthetic spec, e.g. m-of-n:6,3,7,1000")
     p.add_argument("--label-column", default="-1",
                    help="label column index or header name (default: last column)")
     p.add_argument("--no-header", action="store_true",
@@ -238,56 +231,51 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub_map
 
 
-def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
-    """Read key=value lines and convert them with the owning flag's type.
+def _config_args(sub: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flag tokens that a file of key=value lines stands for, for argparse
+    to parse and check as it does the command line.
 
-    A key is a long flag's name, not its dest: pop-size (or pop_size)
-    sets --pop-size.
+    A key is a long flag's name, not its dest: pop-size (or pop_size) is
+    --pop-size. A value becomes --key=value, or --key v1 v2 for a flag that
+    takes several; a zero-argument flag is given bare for true and left out
+    for false.
     """
-    actions = {opt[2:].replace("-", "_"): a for a in sub._actions
-               for opt in a.option_strings if opt.startswith("--")}
-    defaults = {}
+    flags = {opt[2:].replace("-", "_"): (opt, a.nargs) for a in sub._actions
+             if a.dest not in ("config", "help")
+             for opt in a.option_strings if opt.startswith("--")}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}")
-    for ln, line in enumerate(lines):
+    tokens = {}  # flag -> its tokens; a key's last line wins, as on the command line
+    for ln, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{ln + 1}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        action = actions.get(key.replace("-", "_"))
-        if action is None or action.dest == "config":
-            raise ConfigError(f"{path}:{ln + 1}: unknown option {key!r}")
-        dest = action.dest
-        if isinstance(action, argparse._StoreTrueAction):
-            if value.lower() not in ("true", "false"):
-                raise ConfigError(f"{path}:{ln + 1}: {key} takes true or false")
-            defaults[dest] = value.lower() == "true"
-        elif action.nargs not in (None, "?"):
-            defaults[dest] = value.split()
-            if isinstance(action.nargs, int) and len(defaults[dest]) != action.nargs:
-                raise ConfigError(f"{path}:{ln + 1}: {key} takes {action.nargs} values")
-        elif action.type is not None:
-            try:
-                defaults[dest] = action.type(value)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{ln + 1}: bad value for {key}: {e}")
+        flag, nargs = flags.get(key.replace("-", "_"), (None, None))
+        if flag is None:
+            raise ConfigError(f"{path}:{ln}: unknown option {key!r}")
+        if nargs != 0:
+            tokens[flag] = [f"{flag}={value}"] if nargs is None else [flag, *value.split()]
+        elif value.lower() not in ("true", "false"):
+            raise ConfigError(f"{path}:{ln}: {key} takes true or false")
         else:
-            defaults[dest] = value
-    return defaults
+            tokens[flag] = [flag] if value.lower() == "true" else []
+    return [token for flag_tokens in tokens.values() for token in flag_tokens]
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, sub_map = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            sub = sub_map[args.command]
-            sub.set_defaults(**_config_defaults(sub, args.config))
-            args = parser.parse_args(argv)  # explicit flags still win
+            # the file's flags go first, so explicit flags still win
+            args = parser.parse_args(
+                [argv[0], *_config_args(sub_map[args.command], args.config), *argv[1:]])
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # run k uses seed + k, and a stream takes seeds below 2**64

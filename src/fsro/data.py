@@ -97,13 +97,16 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True) -> Dat
     not the rows'; the error names the offending position and counts how
     many rows were affected. A file that cannot be opened or is not UTF-8
     text is a DataError naming the path; not being UTF-8 wins over every
-    other error in the file. A leading byte-order mark is dropped.
+    other error in the file. A leading byte-order mark is dropped. Once the
+    file is parsed, a feature value that is not finite ('inf', or a number
+    past float64's range such as 1e999) is a DataError naming its row and
+    column, and so is a column whose max - min overflows float64.
 
     A plain numeric file is parsed by one np.loadtxt call, with no Python
-    object per feature cell; any other file, a pipe, and every error go
-    through `csv.reader` and float(). Both give the same features, bit for
-    bit; the module docstring lists the files the plain path refuses. Either
-    way the file is streamed line by line.
+    object per feature cell; any other file, a pipe, and every parse error
+    go through `csv.reader` and float(). Both give the same features, bit
+    for bit; the module docstring lists the files the plain path refuses.
+    Either way the file is streamed line by line.
     """
     path = str(path)
     try:
@@ -122,6 +125,7 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True) -> Dat
                 except UnicodeDecodeError as e:
                     raise DataError(f"{path}: file is not UTF-8 text ({e.reason})") from e
     features, label_tokens, header, label_idx = parsed
+    _check_finite(features, label_idx, path)
 
     # dense label mapping, first-appearance order
     mapping: dict[str, int] = {}
@@ -137,6 +141,23 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True) -> Dat
         raise DataError(f"{path}: no feature columns found")
     _validate_classes(ds.labels, path)
     return ds
+
+
+def _check_finite(features: np.ndarray, label_idx: int, path: str) -> None:
+    """DataError at the first value that is not finite, in row order, then
+    at the first column whose max - min overflows; either would turn into
+    NaN when the columns are scaled. Columns are the file's."""
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path}: non-finite value at row {r}, "
+                        f"column {c + (c >= label_idx)}")
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(np.ptp(features, axis=0)))
+    if wide.size:
+        c = wide[0]
+        raise DataError(f"{path}: max - min of column {c + (c >= label_idx)} "
+                        "overflows float64")
 
 
 def _read_text(text, path: str, label_column: int | str, has_header: bool):

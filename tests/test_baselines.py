@@ -13,7 +13,7 @@ from fsro.baselines import (
 )
 from fsro.core import ConfigError
 from fsro.rng import RngStream
-from oracles import new_mask
+from oracles import new_mask, scalar_bpso_step
 
 
 def count_ones(mask):
@@ -95,14 +95,10 @@ def test_ga_replay_identical(small_m_of_n):
 def test_bpso_stationary_particle_resamples_at_half():
     d = 2000
     params = BpsoParams(population_size=1, max_iterations=1)
-    x = np.ones(d, dtype=np.uint8)
-    positions = [x]
-    velocities = [np.zeros(d)]
-    pbest = [x.copy()]
-    pbest_fit = [1.0]
-    gbest, gbest_fit = x.copy(), 1.0
-    bpso_step(positions, velocities, pbest, pbest_fit, gbest, gbest_fit,
-              params, lambda masks: [1.0] * len(masks), RngStream(12))
+    x = np.ones((1, d), dtype=np.uint8)
+    positions, velocities, *_ = bpso_step(x, np.zeros((1, d)), x, np.array([1.0]), x[0], 1.0,
+                                          params, lambda masks: [1.0] * len(masks),
+                                          RngStream(12))
     # x = pbest = gbest and v = 0 keeps v at 0: each bit resampled at 0.5
     assert np.all(velocities[0] == 0.0)
     assert abs(positions[0].mean() - 0.5) < 0.05
@@ -111,16 +107,35 @@ def test_bpso_stationary_particle_resamples_at_half():
 def test_bpso_clamped_velocity_saturates_bits():
     d = 2000
     params = BpsoParams(population_size=1, max_iterations=1)
-    x = np.ones(d, dtype=np.uint8)
-    positions = [x]
-    velocities = [np.full(d, 6.0)]
-    pbest = [x.copy()]
-    pbest_fit = [1.0]
-    bpso_step(positions, velocities, pbest, pbest_fit, x.copy(), 1.0,
-              params, lambda masks: [1.0] * len(masks), RngStream(13))
+    x = np.ones((1, d), dtype=np.uint8)
+    positions, velocities, *_ = bpso_step(x, np.full((1, d), 6.0), x, np.array([1.0]), x[0],
+                                          1.0, params, lambda masks: [1.0] * len(masks),
+                                          RngStream(13))
     # w=1 with zero attraction keeps v at +clamp; ones fraction ~ sigmoid(6)
     assert np.all(velocities[0] == 6.0)
     assert abs(positions[0].mean() - 0.997527) < 0.005
+
+
+@pytest.mark.parametrize("score", [0.5, 0.25])
+def test_bpso_global_best_moves_on_strict_gains_to_the_first_best(score):
+    # every particle scores `score`: a tie with gbest keeps it, a gain takes
+    # particle 0's new position; the list-based reference agrees
+    d, n = 40, 5
+    params = BpsoParams(population_size=n, max_iterations=1)
+    gen = np.random.default_rng(3)
+    x = (gen.random((n, d)) < 0.5).astype(np.uint8)
+    gbest = (gen.random(d) < 0.5).astype(np.uint8)
+
+    def same_score(masks):
+        return [score] * len(masks)
+
+    positions, *_, got, got_fit = bpso_step(x, np.zeros((n, d)), x, np.ones(n), gbest, 0.5,
+                                            params, same_score, RngStream(16))
+    want = positions[0] if score < 0.5 else gbest
+    assert got.tolist() == want.tolist() and got_fit == score
+    lists = [list(x.copy()), list(np.zeros((n, d))), list(x.copy()), [1.0] * n]
+    ref, ref_fit = scalar_bpso_step(*lists, gbest, 0.5, params, same_score, RngStream(16))
+    assert ref.tolist() == want.tolist() and ref_fit == score
 
 
 def test_bpso_finds_single_bit_optimum():

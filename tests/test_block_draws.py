@@ -172,17 +172,20 @@ def ones_fraction(masks):
 
 
 def run_both_sweeps(seed, offset, dim, count, params):
-    """(batched, scalar) results of one sweep from the same swarm and state."""
+    """(batched, scalar) results of one sweep from the same swarm and state:
+    the six swarm values as Python lists and floats, then the stream state.
+    bpso_step returns its swarm as arrays; scalar_bpso_step updates its lists
+    in place and returns the global best."""
     results = []
-    for step in (bpso_step, scalar_bpso_step):
-        positions, velocities, pbest, pbest_fit, gbest, gbest_fit = swarm(
-            seed, count, dim, params.velocity_clamp)
+    for batched in (True, False):
+        lists = swarm(seed, count, dim, params.velocity_clamp)
         stream, _ = streams(seed, offset)
-        gbest, gbest_fit = step(positions, velocities, pbest, pbest_fit, gbest, gbest_fit,
-                                params, ones_fraction, stream)
-        results.append(([p.tolist() for p in positions], [v.tolist() for v in velocities],
-                        [p.tolist() for p in pbest], pbest_fit, gbest.tolist(), gbest_fit,
-                        stream.getstate()))
+        if batched:
+            after = bpso_step(*map(np.array, lists[:4]), *lists[4:],
+                              params, ones_fraction, stream)
+        else:
+            after = (*lists[:4], *scalar_bpso_step(*lists, params, ones_fraction, stream))
+        results.append((*(np.asarray(value).tolist() for value in after), stream.getstate()))
     return results
 
 

@@ -165,21 +165,53 @@ def test_config_key_naming_a_dest_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,line", [("run", "algorithm = nope"),
-                                          ("compare", "algorithms = fsro nope")])
-def test_unknown_algorithm_in_config_exits_2(command, line, tmp_path, capsys):
+@pytest.mark.parametrize("line,message", [
+    ("help = true", "unknown option 'help'"),
+    ("config = other.cfg", "unknown option 'config'"),
+    ("iterations 3", "expected key=value, got 'iterations 3'"),
+    ("no-header = yes", "no-header takes true or false"),
+])
+def test_config_file_errors_name_the_file_and_line(line, message, tmp_path, capsys):
     config = tmp_path / "fsro.cfg"
-    config.write_text(line + "\n", encoding="utf-8")
+    config.write_text(f"# comment\n\n{line}\n", encoding="utf-8")
     out = tmp_path / "out"
-    code, err = _run([command, *TINY, "--runs", "2", "--iterations", "1",
-                      "--config", str(config), "--out", str(out)], capsys)
+    code, err = _run(["run", *TINY, "--config", str(config), "--out", str(out)], capsys)
     assert code == 2
-    assert err.startswith("error: unknown algorithm 'nope'")
+    assert err == f"error: {config}:3: {message}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line,message", [("", "compare needs --algorithms"),
-                                          ("algorithms = fsro", "algorithms takes 2 values")])
+BAD_VALUES = [
+    ("run", "algorithm = nope", "argument --algorithm: invalid choice: 'nope'"),
+    ("compare", "algorithms = fsro nope", "argument --algorithms: invalid choice: 'nope'"),
+    ("compare", "algorithms = fsro", "argument --algorithms: expected 2 arguments"),
+    ("run", "runs = x", "argument --runs: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("command,line,message", BAD_VALUES,
+                         ids=[f"{command}:{line}" for command, line, _ in BAD_VALUES])
+def test_bad_config_value_gets_argparses_message(command, line, message, tmp_path, capsys):
+    config = tmp_path / "fsro.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    key, value = line.split(" = ")
+    out = tmp_path / "out"
+    errors = []
+    for argv in ([command, *TINY, "--config", str(config), "--out", str(out)],
+                 [command, f"--{key}", *value.split(), *TINY, "--out", str(out)]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]  # as the same flag on the command line
+    assert message in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("", "compare needs --algorithms"),
+    ("algorithms = ga ga", "compare needs two different algorithms"),
+])
 def test_compare_without_two_algorithms_exits_2(line, message, tmp_path, capsys):
     config = tmp_path / "fsro.cfg"
     config.write_text(line + "\n", encoding="utf-8")
@@ -187,6 +219,25 @@ def test_compare_without_two_algorithms_exits_2(line, message, tmp_path, capsys)
     code, err = _run(["compare", *TINY, "--config", str(config), "--out", str(out)], capsys)
     assert code == 2
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("file_line,argv", [
+    (None, ["--dataset", "d.csv", "--synthetic", "m-of-n:2,1,2,40"]),
+    ("dataset = d.csv", ["--synthetic", "m-of-n:2,1,2,40"]),
+    ("synthetic = m-of-n:2,1,2,40", ["--dataset", "d.csv"]),
+], ids=["flags", "dataset in file", "synthetic in file"])
+def test_dataset_and_synthetic_exclude_each_other(command, file_line, argv, tmp_path, capsys):
+    if file_line is not None:
+        config = tmp_path / "fsro.cfg"
+        config.write_text(file_line + "\n", encoding="utf-8")
+        argv = [*argv, "--config", str(config)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *argv, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -230,6 +281,60 @@ def test_alpha_and_knn_k_set_their_fitness_params_fields():
         params, want = _set_every_flag(FitnessParams, command)
         assert want.keys() == {"alpha", "k_neighbors"}
         assert {f: getattr(params, f) for f in want} == want
+
+
+def _config_cases():
+    """(command, config key, config value, the same flag's command-line
+    tokens) for every long flag of run and compare but --help and --config,
+    with each key spelled with - and with _."""
+    for command, sub in build_parser()[1].items():
+        if command == "gen":
+            continue
+        for action in sub._actions:
+            if action.dest in ("config", "help"):
+                continue
+            flag, = (opt for opt in action.option_strings if opt.startswith("--"))
+            if action.nargs == 0:
+                values = [("true", [flag]), ("false", [])]
+            else:
+                if action.choices:
+                    value = " ".join(list(action.choices)[-(action.nargs or 1):])
+                else:
+                    value = {int: "5", float: "0.25", None: "x"}[action.type]
+                values = [(value, [flag, *value.split()])]
+            for key in dict.fromkeys(flag[2:].replace("-", sep) for sep in "-_"):
+                for value, tokens in values:
+                    yield pytest.param(command, key, value, tokens,
+                                       id=f"{command}:{key}={value}")
+
+
+def _parsed(argv, monkeypatch):
+    """The namespace `main(argv)` hands its command, but --config's path."""
+    seen = []
+    for name in ("cmd_run", "cmd_compare"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    assert main(argv) == 0
+    parsed = vars(seen[0])
+    del parsed["config"], parsed["func"]
+    return parsed
+
+
+@pytest.mark.parametrize("command,key,value,tokens", _config_cases())
+def test_config_line_parses_as_its_flag(command, key, value, tokens, tmp_path, monkeypatch):
+    config = tmp_path / "fsro.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    from_file = _parsed([command, "--config", str(config)], monkeypatch)
+    assert from_file == _parsed([command, *tokens], monkeypatch)
+    # the line sets something, but a zero-argument flag set to false
+    assert (from_file == _parsed([command], monkeypatch)) == (value == "false")
+
+
+def test_config_key_given_twice_takes_its_last_line(tmp_path, monkeypatch):
+    config = tmp_path / "fsro.cfg"
+    config.write_text("runs = 2\nno-header = true\nruns = 3\nno_header = false\n",
+                      encoding="utf-8")
+    assert _parsed(["run", "--config", str(config)], monkeypatch) == _parsed(
+        ["run", "--runs", "3"], monkeypatch)
 
 
 class _Stop(Exception):

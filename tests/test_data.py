@@ -223,12 +223,26 @@ def test_label_only_file_has_no_features(tmp_path):
 
 
 def test_cells_parse_as_python_floats(tmp_path):
-    p = write(tmp_path, "a,b,label\n 1.5 ,-2e3,x\ninf,1_0,y\n3,4,x\n5,6,y\n")
+    p = write(tmp_path, "a,b,label\n 1.5 ,-2e3,x\n+.5,1_0,y\n3,4,x\n5,6,y\n")
     ds = load_csv(p)
     assert ds.features.dtype == np.float64
     assert ds.features.flags.c_contiguous
-    assert ds.features.tolist() == [[1.5, -2000.0], [float("inf"), 10.0],
+    assert ds.features.tolist() == [[1.5, -2000.0], [0.5, 10.0],
                                     [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999", "-1e999"])
+def test_non_finite_cells_are_rejected_at_their_position(tmp_path, cell, either_path):
+    # the label sits between the features, so file column 2 is feature 1
+    p = write(tmp_path, f"a,label,b\n1,x,2\n3,y,4\n5,x,{cell}\n7,y,8\n")
+    with pytest.raises(DataError, match=r"d\.csv: non-finite value at row 2, column 2$"):
+        load_csv(p, label_column="label")
+
+
+def test_column_whose_span_overflows_is_rejected(tmp_path, either_path):
+    p = write(tmp_path, "a,label,b\n1,x,1e308\n3,y,4\n5,x,-1e308\n7,y,8\n")
+    with pytest.raises(DataError, match=r"d\.csv: max - min of column 2 overflows float64$"):
+        load_csv(p, label_column="label")
 
 
 def test_label_column_in_the_middle(tmp_path):
@@ -493,21 +507,45 @@ FLOAT_CELLS = [
 
 def _cells_file(path, cells, width):
     """cells in rows of `width` features, labels a/b, and four more rows so
-    every class has two instances."""
+    every class has two instances; returns float() of each cell, as rows."""
     cells = cells + ["0"] * (-len(cells) % width)
     rows = [cells[i:i + width] for i in range(0, len(cells), width)]
     rows += [["1"] * width] * 4
     path.write_text("".join(",".join([*r, "ab"[i % 2]]) + "\n" for i, r in enumerate(rows)))
-    want = [float(c) for r in rows for c in r]
-    return np.array(want).view(np.uint64).tolist()
+    return np.array([[float(c) for c in r] for r in rows])
+
+
+def _assert_loads_as_float(path, cells, width):
+    """load_csv of _cells_file gives float() of every cell bit for bit, or
+    the error float()'s values call for: the first that is not finite, or
+    a column whose max - min overflows."""
+    want = _cells_file(path, cells, width)
+    bad = np.argwhere(~np.isfinite(want))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = np.flatnonzero(~np.isfinite(np.ptp(want, axis=0)))
+    if bad.size:
+        message = "non-finite value at row {}, column {}".format(*bad[0])
+    elif wide.size:
+        message = f"max - min of column {wide[0]} overflows float64"
+    else:
+        got = load_csv(path, has_header=False).features
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        return
+    with pytest.raises(DataError, match=f"{message}$"):
+        load_csv(path, has_header=False)
 
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_cells_beyond_the_exact_range_match_float(tmp_path, width, either_path):
     p = tmp_path / "d.csv"
-    want = _cells_file(p, FLOAT_CELLS + ["-" + c.lstrip("-") for c in FLOAT_CELLS], width)
-    ds = load_csv(p, has_header=False)
-    assert ds.features.view(np.uint64).ravel().tolist() == want
+    cells = FLOAT_CELLS + ["-" + c.lstrip("-") for c in FLOAT_CELLS]
+    finite = [c for c in cells if np.isfinite(float(c))]
+    _assert_loads_as_float(p, finite, width)
+    # a cell that overflows must overflow on either path, as in float()
+    assert len(finite) == len(cells) - 4
+    for cell in cells:
+        if cell not in finite:
+            _assert_loads_as_float(p, [*finite[:width], cell], width)
 
 
 @st.composite
@@ -535,10 +573,8 @@ def number_cells(draw):
 @given(cells=st.lists(number_cells(), min_size=1, max_size=30), width=st.integers(1, 4))
 def test_plain_pass_matches_float_bit_for_bit(tmp_path_factory, cells, width):
     p = tmp_path_factory.mktemp("cells") / "d.csv"
-    want = _cells_file(p, cells, width)
+    _assert_loads_as_float(p, cells, width)
     assert _plain_result(p, has_header=False) is not None
-    ds = load_csv(p, has_header=False)
-    assert ds.features.view(np.uint64).ravel().tolist() == want
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
