@@ -10,10 +10,8 @@ from .bench import (
     wilcoxon_signed_rank,
 )
 from .core import (
-    Agent,
     ConfigError,
     DataError,
-    Group,
     PopulationState,
     RunResult,
     SearchOutcome,

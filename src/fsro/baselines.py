@@ -148,7 +148,7 @@ def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams
 
 def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
     """The elite leads each generation, so its fittest mask is the best so far."""
-    population = random_masks(params.population_size, dim, rng)
+    population = list(random_masks(params.population_size, dim, rng))
     return drive(params.max_iterations, (population, evaluate(population)),
                  lambda state: ga_step(*state, params, evaluate, rng),
                  lambda state: _best(*state))
@@ -204,7 +204,7 @@ def bpso_step(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray,
 
 
 def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
-    positions = np.array(random_masks(params.population_size, dim, rng))
+    positions = random_masks(params.population_size, dim, rng)
     fitness = evaluate(list(positions))
     gbest_fit, gbest = _best(positions, fitness)
     # bpso_step replaces the swarm's arrays and writes none, so they may share rows

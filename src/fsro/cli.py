@@ -54,6 +54,19 @@ def _params(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
+def _output_dir(path: Path) -> Path:
+    """`path`, rejected when it, or the nearest part of it that exists, is
+    not a directory. Called before any run, so a bad --out costs no
+    experiment and leaves the file it names untouched."""
+    for part in (path, *path.parents):
+        # a dangling link exists too: mkdir would fail on it
+        if part.exists() or part.is_symlink():
+            if not part.is_dir():
+                raise ConfigError(f"--out: {part} is not a directory")
+            break
+    return path
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -98,7 +111,7 @@ def cmd_run(args) -> int:
     dataset = _load_dataset(args)
     algo_params = _params(ALGORITHMS[args.algorithm], args)
     fit_params = _params(FitnessParams, args)
-    out = Path(args.out)
+    out = _output_dir(Path(args.out))
     results, summary = run_experiment(args.algorithm, dataset, algo_params,
                                       fit_params, args.runs, args.seed,
                                       workers=args.workers)
@@ -119,7 +132,7 @@ def cmd_compare(args) -> int:
     algo_params = {algo: _params(ALGORITHMS[algo], args) for algo in (algo_a, algo_b)}
     dataset = _load_dataset(args)
     fit_params = _params(FitnessParams, args)
-    out = Path(args.out)
+    out = _output_dir(Path(args.out))
     results = {}
     for algo in (algo_a, algo_b):
         res, _ = run_experiment(algo, dataset, algo_params[algo],
@@ -145,10 +158,10 @@ def cmd_compare(args) -> int:
 
 def cmd_gen(args) -> int:
     n_relevant, m, n_noise, n_instances = _parse_synthetic(args.synthetic)
-    dataset = generate_m_of_n(n_relevant, m, n_noise, n_instances, RngStream(args.seed))
     path = Path(args.out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    _output_dir(path.parent)
+    dataset = generate_m_of_n(n_relevant, m, n_noise, n_instances, RngStream(args.seed))
+    path.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, path)
     print(f"wrote {dataset.n_instances}x{dataset.n_features} dataset to {path}")
     return 0
@@ -284,7 +297,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed {args.seed} gives run seeds up to {last}; "
                               "seeds must be below 2**64")
         return args.func(args)
-    except (ConfigError, DataError) as e:
+    except (ConfigError, DataError, OSError) as e:
+        # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,6 @@ are float64 throughout.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -21,11 +20,6 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Dataset ingestion or validation failure."""
-
-
-class Group(enum.Enum):
-    FROG = "frog"
-    SNAKE = "snake"
 
 
 def require_finite(params, *names: str) -> None:
@@ -44,48 +38,34 @@ def mask_string(mask: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in mask)
 
 
-@dataclass(eq=False)
-class Agent:
-    """One search agent: a mask plus its current and previous fitness.
-
-    Agents have no identity number: an agent is its object (equality is
-    identity), and its age is its place in `PopulationState.agents`.
-    """
-
-    solution: np.ndarray
-    group: Group
-    fitness: float | None = None
-    prev_fitness: float | None = None
-
-
 @dataclass
 class PopulationState:
     """Full engine state between iterations, passed by `drive` from one
     `engine.step` to the next; `drive` numbers the iterations.
 
-    Invariants kept by the engine: frog_share + snake_share == 1 (within fp),
-    len(agents) is constant, both groups are non-empty after every step, and
-    global_best_fitness never increases.
+    Row i of `solutions` (n, d) uint8 is one agent's mask, `frog[i]` says
+    whether it is a frog (else a snake), and `fitness[i]` is its fitness from
+    the last evaluation (NaN before the first).
 
-    `agents` is in age order: `initialize` creates it in order, and
-    `ess_mutation` appends each clone at the end and removes a donor without
-    moving the rest. That order is the tie rule: among equally fit agents the
-    earliest in the list is relabelled or dropped first.
+    Invariants kept by the engine: frog_share + snake_share == 1 (within fp),
+    the row count is constant, both groups are non-empty after every step,
+    and global_best_fitness never increases.
+
+    Rows are in age order: `initialize` creates them in order, and
+    `ess_mutation` appends each clone as the last row and deletes a donor
+    without moving the rest. That order is the tie rule: among equally fit
+    rows the earliest is relabelled or dropped first.
     """
 
-    agents: list[Agent]
+    solutions: np.ndarray
+    frog: np.ndarray
+    fitness: np.ndarray
     frog_share: float
     snake_share: float
     global_best_mask: np.ndarray | None = None
     global_best_fitness: float | None = None
     # whether any capture in the most recent step succeeded
     captured: bool = False
-
-    def frogs(self) -> list[Agent]:
-        return [a for a in self.agents if a.group is Group.FROG]
-
-    def snakes(self) -> list[Agent]:
-        return [a for a in self.agents if a.group is Group.SNAKE]
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,25 @@
 """The frog-snake search engine.
 
-Each iteration runs, in order: two-point crossover inside the snake group,
-uniform crossover inside the frog group (recording which indexes changed),
-predation-point selection per frog, a capture attempt per frog against a
-random snake, evaluation of every agent, a replicator-dynamics share update
-that regroups agents, and a mutation that reseeds any near-extinct group with
-the best solution found so far.
+The population is one (n, d) uint8 array of masks, a row per agent, with a
+bool vector that marks the frogs (the other rows are snakes) and a float64
+vector of fitness. Rows are in age order, and that order breaks fitness
+ties.
 
-Crossover partners are paired by position: a group's positions are shuffled
-and taken two at a time. Agents carry no identity number; the population
-list is in age order, and that order breaks fitness ties.
+Each iteration runs, in order: two-point crossover inside the snake group,
+uniform crossover inside the frog group (keeping each frog's crossover mask
+and the positions it changed), predation-point selection per frog, a
+capture attempt per frog against a random snake, evaluation of every row, a
+replicator-dynamics share update that relabels rows, and a mutation that
+reseeds any near-extinct group with the best solution found so far.
+
+Crossover partners are paired by position within a group: the group's
+positions are shuffled and taken two at a time.
 
 The stream is consumed in a fixed order so runs replay exactly: group
-shuffle, then per-agent crossover draws in agent-list order (snakes before
-frogs), then the approach draw per frog, then capture draws per frog
-(partner index, success uniform), with a one-draw repair wherever a new
-solution comes out all-zero. No draws occur during evaluation or the share
-update.
+shuffle, then per-row crossover draws in row order (snakes before frogs),
+then the approach draw per frog, then capture draws per frog (partner
+index, success uniform), with a one-draw repair wherever a new solution
+comes out all-zero. No draws occur during evaluation or the share update.
 
 Row-wise draws come in speculative blocks (`draw_rows`): the initial
 population's bits, and the frog group's uniform crossovers after the
@@ -27,7 +30,7 @@ the stream is consumed exactly as the per-draw order above says.
 
 Evaluation is batched: `evaluate(masks) -> list[float]` scores a list of
 masks. A run calls it once for the initial population and once per
-iteration, on every agent, after all of that iteration's draws. Since it
+iteration, on every row, after all of that iteration's draws. Since it
 draws nothing, batching leaves the stream and the results unchanged.
 `run_search` is `initialize` plus one `core.drive` call: the generation loop
 of FSRO, GA and BPSO, which calls `step` and writes the trace rows.
@@ -39,15 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Agent,
-    ConfigError,
-    Group,
-    PopulationState,
-    SearchOutcome,
-    drive,
-    require_finite,
-)
+from .core import ConfigError, PopulationState, SearchOutcome, drive, require_finite
 from .rng import RngStream, uniforms
 
 # keeps both shares representable at one agent for the default N=40
@@ -92,20 +87,6 @@ class FsroParams:
         return run_search(self, dim, evaluate, rng)
 
 
-@dataclass(frozen=True)
-class CrossoverRecord:
-    """Outcome of one uniform crossover, seen from one parent.
-
-    mask[i] is True where the child took the partner's bit; changed[i] is True
-    where the child actually differs from this parent; boundaries are the mask
-    flip positions (i >= 1 with mask[i] != mask[i-1]), ascending.
-    """
-
-    mask: np.ndarray
-    changed: np.ndarray
-    boundaries: np.ndarray
-
-
 def repair_mask(mask: np.ndarray, rng: RngStream) -> np.ndarray:
     """Force at least one selected bit; consumes one draw only when needed."""
     if not mask.any():
@@ -142,11 +123,11 @@ def draw_rows(rng: RngStream, count: int, width: int, build) -> list[np.ndarray]
     return [np.concatenate(items) for items in zip(*parts)]
 
 
-def random_masks(count: int, dim: int, rng: RngStream) -> list[np.ndarray]:
-    """Masks of one fair bit per position, each followed by its zero-mask
-    repair. A bit is raw & 1: bit() never rejects."""
+def random_masks(count: int, dim: int, rng: RngStream) -> np.ndarray:
+    """(count, dim) uint8 masks of one fair bit per position, each row
+    followed by its zero-mask repair. A bit is raw & 1: bit() never rejects."""
     masks, = draw_rows(rng, count, dim, lambda first, raws: ((raws & 1).astype(np.uint8),))
-    return list(masks)
+    return masks
 
 
 def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
@@ -154,9 +135,8 @@ def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
     if dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {dim}")
     n = params.population_size
-    agents = [Agent(mask, Group.FROG if i < n // 2 else Group.SNAKE)
-              for i, mask in enumerate(random_masks(n, dim, rng))]
-    return PopulationState(agents=agents, frog_share=0.5, snake_share=0.5)
+    return PopulationState(solutions=random_masks(n, dim, rng), frog=np.arange(n) < n // 2,
+                           fitness=np.full(n, np.nan), frog_share=0.5, snake_share=0.5)
 
 
 def two_point_crossover(a: np.ndarray, b: np.ndarray,
@@ -180,41 +160,38 @@ def two_point_crossover(a: np.ndarray, b: np.ndarray,
 
 def _uniform_children(own: np.ndarray, mates: np.ndarray, raws: np.ndarray):
     """(children, mask, changed): a child takes its mate's bit where the
-    uniform of that position's raw is below 0.5."""
+    uniform of that position's raw is below 0.5; mask marks those positions
+    and changed the positions where the child differs from its own parent."""
     mask = uniforms(raws) < 0.5
     children = np.where(mask, mates, own).astype(np.uint8)
     return children, mask, children != own
 
 
-def _record(mask: np.ndarray, changed: np.ndarray) -> CrossoverRecord:
-    boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
-    return CrossoverRecord(mask=mask, changed=changed, boundaries=boundaries)
-
-
 def uniform_crossover(a: np.ndarray, b: np.ndarray,
-                      rng: RngStream) -> tuple[np.ndarray, CrossoverRecord]:
-    """Child takes b wherever an independent fair coin lands True."""
+                      rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(child, mask, changed): the child takes b wherever an independent
+    fair coin lands True."""
     if a.shape != b.shape:
         raise ValueError(f"parent lengths differ: {a.shape} vs {b.shape}")
-    child, mask, changed = _uniform_children(a, b, rng.raws(a.size))
-    return child, _record(mask, changed)
+    return _uniform_children(a, b, rng.raws(a.size))
 
 
-def determine_predation_points(record: CrossoverRecord, rng: RngStream) -> range:
+def determine_predation_points(mask: np.ndarray, changed: np.ndarray, rng: RngStream) -> range:
     """Pick the contiguous block of solution indexes at stake in this frog's
-    capture standoff.
+    capture standoff, from its uniform crossover's mask and changed rows.
 
     A random index that was changed by the crossover stakes just itself
     (escape); an unchanged index stakes the whole block from the nearest mask
-    boundary to the string end on its own side (immobility), the lower of two
-    equally near boundaries winning. Without any boundary the single index is
-    staked.
+    boundary (an i >= 1 with mask[i] != mask[i-1]) to the string end on its
+    own side (immobility), the lower of two equally near boundaries winning.
+    Without any boundary the single index is staked.
     """
-    d = record.mask.size
+    d = mask.size
     s = rng.index(d)
-    if record.changed[s] or record.boundaries.size == 0:
+    boundaries = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    if changed[s] or boundaries.size == 0:
         return range(s, s + 1)
-    b = int(record.boundaries[np.argmin(np.abs(record.boundaries - s))])
+    b = int(boundaries[np.argmin(np.abs(boundaries - s))])
     return range(b, d) if s >= b else range(0, b)
 
 
@@ -280,129 +257,122 @@ def replicator_update(shares: tuple[float, float], payoffs: tuple[float, float],
     return new_f / total, new_s / total
 
 
-def _worst_first(agents: list[Agent]) -> list[Agent]:
-    # worst (largest) fitness first; the stable sort keeps ties in age order
-    return sorted(agents, key=lambda a: -a.fitness)
+def _worst_first(pop: PopulationState, frog: bool) -> np.ndarray:
+    """The group's rows, worst (largest) fitness first; the stable sort keeps
+    ties in age order."""
+    rows = np.flatnonzero(pop.frog == frog)
+    return rows[np.argsort(-pop.fitness[rows], kind="stable")]
 
 
 def resize_groups(pop: PopulationState, new_shares: tuple[float, float]) -> PopulationState:
     """Relabel the worst members of the shrinking group to match the new shares."""
-    n = len(pop.agents)
+    n = len(pop.frog)
     target_frogs = int(np.floor(new_shares[0] * n + 0.5))
     target_frogs = min(max(target_frogs, 1), n - 1)
-    frogs = pop.frogs()
-    if target_frogs > len(frogs):
-        for agent in _worst_first(pop.snakes())[: target_frogs - len(frogs)]:
-            agent.group = Group.FROG
-    elif target_frogs < len(frogs):
-        for agent in _worst_first(frogs)[: len(frogs) - target_frogs]:
-            agent.group = Group.SNAKE
+    n_frogs = int(pop.frog.sum())
+    if target_frogs != n_frogs:
+        grow = target_frogs > n_frogs
+        pop.frog[_worst_first(pop, not grow)[:abs(target_frogs - n_frogs)]] = grow
     return pop
 
 
-def ess_mutation(pop: PopulationState, ess_threshold: int = 2) -> PopulationState:
+def ess_mutation(pop: PopulationState, ess_threshold: int) -> PopulationState:
     """Reseed any group at or below the threshold with a copy of the best
-    solution so far, dropping the other group's worst agent to keep the count."""
+    solution so far, dropping the other group's worst row to keep the count."""
     if pop.global_best_mask is None:
         raise ValueError("mutation needs a global best; evaluate the population first")
-    sizes = {Group.FROG: len(pop.frogs()), Group.SNAKE: len(pop.snakes())}
-    for group in (Group.FROG, Group.SNAKE):
-        if sizes[group] > ess_threshold:
+    n_frogs = int(pop.frog.sum())
+    for frog, size in ((True, n_frogs), (False, len(pop.frog) - n_frogs)):
+        if size > ess_threshold:
             continue
-        other = Group.SNAKE if group is Group.FROG else Group.FROG
-        pop.agents.append(Agent(pop.global_best_mask.copy(), group,
-                                fitness=pop.global_best_fitness,
-                                prev_fitness=pop.global_best_fitness))
-        donors = [a for a in pop.agents if a.group is other]
-        if len(donors) > 1:
-            pop.agents.remove(_worst_first(donors)[0])
+        pop.solutions = np.vstack([pop.solutions, pop.global_best_mask])
+        pop.frog = np.append(pop.frog, frog)
+        pop.fitness = np.append(pop.fitness, pop.global_best_fitness)
+        donors = _worst_first(pop, not frog)
+        if donors.size > 1:
+            pop.solutions, pop.frog, pop.fitness = (
+                np.delete(a, donors[0], axis=0) for a in (pop.solutions, pop.frog, pop.fitness))
     return pop
 
 
-def _two_point_group(parents: list[np.ndarray], partner: list[int], rng: RngStream):
-    children = []
-    for a, mate in zip(parents, partner):
-        child, _ = two_point_crossover(a, parents[mate], rng)
-        children.append(repair_mask(child, rng))
-    return children, None
+def _partners(n: int, rng: RngStream) -> list[int]:
+    """Each of a group's n positions' crossover partner.
 
-
-def _uniform_group(parents: list[np.ndarray], partner: list[int], rng: RngStream):
-    own = np.array(parents)
-    mates = own[partner]
-    children, masks, changed = draw_rows(
-        rng, len(parents), own.shape[1],
-        lambda first, raws: _uniform_children(own[first:first + len(raws)],
-                                              mates[first:first + len(raws)], raws))
-    return list(children), [_record(m, c) for m, c in zip(masks, changed)]
-
-
-def _crossover(group: list[Agent], cross, rng: RngStream):
-    """Cross every agent with its partner and keep the repaired child.
-
-    The group's positions are shuffled and paired two at a time; with an odd
-    count the leftover pairs with the first shuffled position, so a singleton
-    pairs with itself. Then cross(parents, partner, rng) draws, in group
-    order, each agent's crossover with its partner's parent solution (never
-    a child) and then its repair, and returns the repaired children and its
-    records; this returns the records.
+    The positions are shuffled and paired two at a time; with an odd count
+    the leftover pairs with the first shuffled position, so a singleton
+    pairs with itself.
     """
-    order = list(range(len(group)))
+    order = list(range(n))
     rng.shuffle(order)
-    partner = [0] * len(order)
-    for i in range(0, len(order) - 1, 2):
+    partner = [0] * n
+    for i in range(0, n - 1, 2):
         partner[order[i]], partner[order[i + 1]] = order[i + 1], order[i]
-    if len(order) % 2 == 1:
+    if n % 2 == 1:
         partner[order[-1]] = order[0]
-    children, records = cross([a.solution for a in group], partner, rng)
-    for a, child in zip(group, children):
-        a.solution = child
-    return records
+    return partner
 
 
-def _evaluate_agents(pop: PopulationState, evaluate) -> None:
-    """Score every agent in one batch, keeping the elitist best in agent order."""
-    for a, fit in zip(pop.agents, evaluate([a.solution for a in pop.agents])):
-        a.fitness = fit
-        if pop.global_best_fitness is None or a.fitness < pop.global_best_fitness:
-            pop.global_best_fitness = a.fitness
-            pop.global_best_mask = a.solution.copy()
+def _two_point_group(parents: np.ndarray, partner: list[int], rng: RngStream) -> np.ndarray:
+    """The repaired children of each parent row's two-point crossover with
+    its partner's parent (never a child), drawn in row order."""
+    return np.array([repair_mask(two_point_crossover(a, parents[mate], rng)[0], rng)
+                     for a, mate in zip(parents, partner)])
+
+
+def _uniform_group(parents: np.ndarray, partner: list[int], rng: RngStream):
+    """[children, mask, changed] of each parent row's uniform crossover with
+    its partner's parent, in row order, drawn in blocks by `draw_rows`."""
+    mates = parents[partner]
+    return draw_rows(rng, len(parents), parents.shape[1],
+                     lambda first, raws: _uniform_children(parents[first:first + len(raws)],
+                                                           mates[first:first + len(raws)], raws))
+
+
+def _evaluate(pop: PopulationState, evaluate) -> None:
+    """Score every row in one batch. The best so far moves to the first
+    fittest row, and only on a strict gain."""
+    pop.fitness = np.array(evaluate(list(pop.solutions)), dtype=np.float64)
+    i = int(np.argmin(pop.fitness))
+    if pop.global_best_fitness is None or pop.fitness[i] < pop.global_best_fitness:
+        pop.global_best_fitness = float(pop.fitness[i])
+        pop.global_best_mask = pop.solutions[i].copy()
 
 
 def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> PopulationState:
     """Advance the population by one full iteration."""
-    for a in pop.agents:
-        a.prev_fitness = a.fitness
+    prev_fitness = pop.fitness
+    frogs, snakes = np.flatnonzero(pop.frog), np.flatnonzero(~pop.frog)
 
     # snakes explore by two-point crossover (skipped for 1-bit solutions,
     # where no point pair exists)
-    if pop.agents[0].solution.size >= 2:
-        _crossover(pop.snakes(), _two_point_group, rng)
+    if pop.solutions.shape[1] >= 2:
+        partner = _partners(len(snakes), rng)
+        pop.solutions[snakes] = _two_point_group(pop.solutions[snakes], partner, rng)
 
-    # frogs exploit by uniform crossover, keeping records for the hunt
-    frogs = pop.frogs()
-    records = _crossover(frogs, _uniform_group, rng)
+    # frogs exploit by uniform crossover, keeping its masks for the hunt
+    partner = _partners(len(frogs), rng)
+    children, masks, changed = _uniform_group(pop.solutions[frogs], partner, rng)
+    pop.solutions[frogs] = children
 
     # approach phase: stake the predation points
-    stakes = [determine_predation_points(record, rng) for record in records]
+    stakes = [determine_predation_points(m, c, rng) for m, c in zip(masks, changed)]
 
     # capture phase: each frog faces one random snake
-    snakes = pop.snakes()
     pop.captured = False
-    for a, stake in zip(frogs, stakes):
+    for i, stake in zip(frogs, stakes):
         foe = snakes[rng.index(len(snakes))]
-        dist = frog_snake_distance(a.solution, foe.solution, params.max_dis)
-        a.solution, succeeded = capture(a.solution, stake, avoidance_rate(dist, params), rng)
+        dist = frog_snake_distance(pop.solutions[i], pop.solutions[foe], params.max_dis)
+        pop.solutions[i], succeeded = capture(pop.solutions[i], stake,
+                                              avoidance_rate(dist, params), rng)
         pop.captured |= succeeded
 
-    _evaluate_agents(pop, evaluate)
+    _evaluate(pop, evaluate)
 
-    # replicator dynamics on this iteration's improvements
-    frogs = pop.frogs()
-    snakes = pop.snakes()
-    frog_gain = sum(max(0.0, a.prev_fitness - a.fitness) for a in frogs)
-    snake_gain = sum(max(0.0, a.prev_fitness - a.fitness) for a in snakes)
-    payoffs = replicator_payoffs(frog_gain, snake_gain, len(frogs), len(snakes))
+    # replicator dynamics on this iteration's improvements, summed in row
+    # order one Python float at a time
+    gains = np.maximum(0.0, prev_fitness - pop.fitness)
+    payoffs = replicator_payoffs(sum(gains[frogs].tolist()), sum(gains[snakes].tolist()),
+                                 len(frogs), len(snakes))
     shares = replicator_update((pop.frog_share, pop.snake_share), payoffs)
     pop.frog_share, pop.snake_share = shares
     resize_groups(pop, shares)
@@ -413,9 +383,9 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
 def run_search(params: FsroParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
     """Full run: initialize and evaluate, then `drive` max_iterations steps."""
     pop = initialize(params, dim, rng)
-    _evaluate_agents(pop, evaluate)
+    _evaluate(pop, evaluate)
     # the lambda looks `step` up at each call, so a wrapper swapped in sees it
     return drive(params.max_iterations, pop,
                  lambda pop: step(pop, params, evaluate, rng),
                  lambda pop: (pop.global_best_fitness, pop.global_best_mask),
-                 lambda pop: (len(pop.frogs()), len(pop.snakes()), pop.captured))
+                 lambda pop: (int(pop.frog.sum()), int((~pop.frog).sum()), pop.captured))

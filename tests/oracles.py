@@ -1,19 +1,20 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here but the one-mask reference and `new_mask` at the end is
-deliberately written the slow, obvious way (plain Python loops, no shared
-helpers from the package) so a bug in the implementation cannot hide in its
-oracle.
+Everything here but the list-based FSRO step's per-pair operators, the
+one-mask reference and `new_mask` at the end is deliberately written the
+slow, obvious way (plain Python loops, no shared helpers from the package)
+so a bug in the implementation cannot hide in its oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fsro import fitness
+from fsro import engine, fitness
 
 
 def brute_knn_classify(train_x, train_y, query, k, mask):
@@ -138,6 +139,132 @@ def scalar_bpso_step(positions, velocities, pbest, pbest_fit, gbest, gbest_fit,
             gbest_fit = pbest_fit[i]
             gbest = pbest[i].copy()
     return gbest, gbest_fit
+
+
+# --- list-based FSRO step ---------------------------------------------------
+# The engine's bookkeeping before its population became arrays: a list of
+# agent objects in age order, each carrying its group, with a group's list
+# rebuilt whenever it is needed. The pairing, the uniform crossover, the
+# predation points, the regrouping and ESS are written out here; the
+# package's two-point crossover, distance, avoidance rate, capture and
+# replicator formulas, tested on their own, are reused.
+
+@dataclass(eq=False)
+class ListAgent:
+    """One agent: equality is identity, and its age is its place in the list."""
+
+    solution: np.ndarray
+    frog: bool
+    fitness: float
+    prev_fitness: float = math.nan
+
+
+@dataclass
+class ListPopulation:
+    agents: list
+    frog_share: float
+    snake_share: float
+    best_mask: np.ndarray
+    best_fitness: float
+    captured: bool = False
+
+    def group(self, frog):
+        return [a for a in self.agents if a.frog == frog]
+
+
+def list_partners(n, rng):
+    """Shuffle the group's positions and pair them two at a time; an odd
+    leftover pairs with the first shuffled position."""
+    order = list(range(n))
+    rng.shuffle(order)
+    partner = [0] * n
+    for i in range(0, n - 1, 2):
+        partner[order[i]] = order[i + 1]
+        partner[order[i + 1]] = order[i]
+    if n % 2 == 1:
+        partner[order[-1]] = order[0]
+    return partner
+
+
+def list_predation_points(mask, changed, rng):
+    """A changed index stakes itself; an unchanged one stakes the block from
+    the nearest mask boundary (the lower on a tie) to its own end."""
+    d = mask.size
+    s = rng.index(d)
+    boundaries = [i for i in range(1, d) if mask[i] != mask[i - 1]]
+    if changed[s] or not boundaries:
+        return range(s, s + 1)
+    b = min(boundaries, key=lambda b: abs(b - s))
+    return range(b, d) if s >= b else range(0, b)
+
+
+def list_fsro_step(pop, params, evaluate, rng):
+    """One FSRO iteration on a ListPopulation, updating it in place."""
+    for a in pop.agents:
+        a.prev_fitness = a.fitness
+    d = pop.agents[0].solution.size
+
+    def repaired(child):
+        if not child.any():
+            child[rng.index(d)] = 1
+        return child
+
+    if d >= 2:
+        snakes = pop.group(False)
+        parents = [a.solution for a in snakes]
+        for a, mate in zip(snakes, list_partners(len(snakes), rng)):
+            a.solution = repaired(engine.two_point_crossover(a.solution, parents[mate], rng)[0])
+    frogs = pop.group(True)
+    parents = [a.solution for a in frogs]
+    records = []
+    for a, mate in zip(frogs, list_partners(len(frogs), rng)):
+        child, mask, changed = scalar_uniform_crossover(a.solution, parents[mate], rng)
+        a.solution = repaired(child)
+        records.append((mask, changed))
+    stakes = [list_predation_points(mask, changed, rng) for mask, changed in records]
+    snakes = pop.group(False)
+    pop.captured = False
+    for a, stake in zip(frogs, stakes):
+        foe = snakes[rng.index(len(snakes))]
+        dist = engine.frog_snake_distance(a.solution, foe.solution, params.max_dis)
+        a.solution, succeeded = engine.capture(a.solution, stake,
+                                               engine.avoidance_rate(dist, params), rng)
+        pop.captured = pop.captured or succeeded
+
+    for a, fit in zip(pop.agents, evaluate([a.solution for a in pop.agents])):
+        a.fitness = fit
+        if fit < pop.best_fitness:
+            pop.best_fitness = fit
+            pop.best_mask = a.solution.copy()
+
+    frogs, snakes = pop.group(True), pop.group(False)
+    payoffs = engine.replicator_payoffs(
+        sum(max(0.0, a.prev_fitness - a.fitness) for a in frogs),
+        sum(max(0.0, a.prev_fitness - a.fitness) for a in snakes), len(frogs), len(snakes))
+    pop.frog_share, pop.snake_share = engine.replicator_update(
+        (pop.frog_share, pop.snake_share), payoffs)
+
+    def worst_first(agents):
+        return sorted(agents, key=lambda a: -a.fitness)
+
+    n = len(pop.agents)
+    target = min(max(math.floor(pop.frog_share * n + 0.5), 1), n - 1)
+    if target > len(frogs):
+        for a in worst_first(snakes)[:target - len(frogs)]:
+            a.frog = True
+    elif target < len(frogs):
+        for a in worst_first(frogs)[:len(frogs) - target]:
+            a.frog = False
+
+    sizes = {True: len(pop.group(True)), False: len(pop.group(False))}
+    for frog in (True, False):
+        if sizes[frog] > params.ess_threshold:
+            continue
+        pop.agents.append(ListAgent(pop.best_mask.copy(), frog, pop.best_fitness))
+        donors = pop.group(not frog)
+        if len(donors) > 1:
+            pop.agents.remove(worst_first(donors)[0])
+    return pop
 
 
 def scalar_m_of_n_bits(n_instances, d, rng):

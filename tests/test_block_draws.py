@@ -108,8 +108,8 @@ def test_random_masks_match_per_bit_masks(seed, offset, dim, count, minimum):
         block, scalar = streams(seed, offset)
         got = random_masks(count, dim, block)
         want = [scalar_random_mask(dim, scalar) for _ in range(count)]
-        assert [m.tolist() for m in got] == [m.tolist() for m in want]
-        assert all(m.dtype == np.uint8 for m in got)
+        assert got.tolist() == [m.tolist() for m in want]
+        assert got.dtype == np.uint8 and got.shape == (count, dim)
         assert block.getstate() == scalar.getstate()
 
 
@@ -127,18 +127,16 @@ def test_uniform_group_matches_per_agent_crossovers(seed, offset, dim, count, mi
     partner = np.random.default_rng(seed + 1).integers(0, count, size=count).tolist()
     with block_min(minimum):
         block, scalar = streams(seed, offset)
-        children, records = _uniform_group(parents, partner, block)
-        # per agent in group order: crossover with the partner's parent
+        children, masks, changed = _uniform_group(np.array(parents), partner, block)
+        # per row in group order: crossover with the partner's parent
         # solution, then the repair of an all-zero child
         for i, mate in enumerate(partner):
-            child, mask, changed = scalar_uniform_crossover(parents[i], parents[mate], scalar)
+            child, mask, moved = scalar_uniform_crossover(parents[i], parents[mate], scalar)
             if not child.any():
                 child[scalar.index(dim)] = 1
             assert children[i].tolist() == child.tolist()
-            assert records[i].mask.tolist() == mask.tolist()
-            assert records[i].changed.tolist() == changed.tolist()
-            assert records[i].boundaries.tolist() == (
-                np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
+            assert masks[i].tolist() == mask.tolist()
+            assert changed[i].tolist() == moved.tolist()
         assert block.getstate() == scalar.getstate()
 
 
@@ -149,11 +147,9 @@ def test_uniform_crossover_matches_per_bit_loop(dim, minimum, monkeypatch):
     a, b = parent_masks(dim, 2, dim)
     block, scalar = streams(dim, 11)
     for _ in range(5):
-        child, record = uniform_crossover(a, b, block)
-        want, mask, changed = scalar_uniform_crossover(a, b, scalar)
-        assert child.tolist() == want.tolist()
-        assert record.mask.tolist() == mask.tolist()
-        assert record.changed.tolist() == changed.tolist()
+        got = uniform_crossover(a, b, block)
+        want = scalar_uniform_crossover(a, b, scalar)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
     assert block.getstate() == scalar.getstate()
 
 

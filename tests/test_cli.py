@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import fsro.bench
 from fsro import FitnessParams, FsroParams, RngStream, cli, generate_m_of_n
 from fsro.bench import ALGORITHMS
 from fsro.cli import _load_dataset, _params, build_parser, main
@@ -248,6 +249,56 @@ def test_compare_one_algorithm_twice_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: compare needs two different algorithms")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["file", "under-file", "dangling-link"])
+@pytest.mark.parametrize("command", [
+    ["run", *TINY],
+    ["compare", *TINY, "--algorithms", "fsro", "ga"],
+], ids=["run", "compare"])
+def test_out_naming_a_file_exits_2_before_any_run(command, case, tmp_path, capsys,
+                                                  monkeypatch):
+    started = []
+    monkeypatch.setattr(fsro.bench, "run_single", lambda *args: started.append(args))
+    taken = tmp_path / "taken"
+    if case == "dangling-link":
+        taken.symlink_to(tmp_path / "nowhere" / "out")
+    else:
+        taken.write_text("keep\n", encoding="utf-8")
+    out = taken / "out" if case == "under-file" else taken
+    code, err = _run([*command, "--runs", "2", "--iterations", "1", "--out", str(out)],
+                     capsys)
+    assert code == 2
+    assert err == f"error: --out: {taken} is not a directory\n"
+    assert not started
+    if case == "dangling-link":
+        assert taken.is_symlink() and not (tmp_path / "nowhere").exists()
+    else:
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_gen_out_under_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    code, err = _run(["gen", "--synthetic", "m-of-n:2,1,2,40", "--out", str(taken / "x.csv")],
+                     capsys)
+    assert code == 2
+    assert err == f"error: --out: {taken} is not a directory\n"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # summary.csv is taken by a directory, so writing the outputs fails
+    out = tmp_path / "out"
+    (out / "summary.csv").mkdir(parents=True)
+    code, err = _run(["run", *TINY, "--runs", "1", "--iterations", "1", "--out", str(out)],
+                     capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "summary.csv" in err
+
+    code, err = _run(["gen", "--synthetic", "m-of-n:2,1,2,40", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(out) in err
 
 
 def _set_every_flag(cls, command):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_evaluator
-from fsro.core import ConfigError, Group
+from fsro.core import ConfigError, PopulationState
 from fsro.engine import (
-    CrossoverRecord,
-    _crossover,
+    _evaluate,
+    _partners,
     _two_point_group,
     _uniform_group,
     FsroParams,
@@ -27,33 +27,28 @@ from fsro.engine import (
     two_point_crossover,
     uniform_crossover,
 )
-from fsro.core import Agent, PopulationState
 from fsro.rng import RngStream
-from oracles import new_mask, scalar_uniform_crossover
+from oracles import ListAgent, ListPopulation, list_fsro_step, new_mask, scalar_uniform_crossover
 
 ZEROS6 = new_mask([0] * 6)
 ONES6 = new_mask([1] * 6)
 
 
 def record_from(mask, changed, d):
-    mask = np.asarray(mask, dtype=bool)
+    """(mask, changed) of a uniform crossover, as determine_predation_points takes them."""
     changed_bits = np.zeros(d, dtype=bool)
     changed_bits[list(changed)] = True
-    return CrossoverRecord(
-        mask=mask,
-        changed=changed_bits,
-        boundaries=np.flatnonzero(mask[1:] != mask[:-1]) + 1,
-    )
+    return np.asarray(mask, dtype=bool), changed_bits
 
 
 # --- initialization ---------------------------------------------------------
 
 def test_initialize_default_population():
     pop = initialize(FsroParams(), 13, RngStream(1))
-    assert len(pop.frogs()) == 20
-    assert len(pop.snakes()) == 20
+    assert pop.solutions.shape == (40, 13) and pop.solutions.dtype == np.uint8
+    assert pop.frog.tolist() == [True] * 20 + [False] * 20
     assert pop.frog_share == pop.snake_share == 0.5
-    assert all(a.solution.sum() >= 1 for a in pop.agents)
+    assert pop.solutions.sum(axis=1).min() >= 1
 
 
 def test_initialize_rejects_bad_population_size():
@@ -65,17 +60,15 @@ def test_initialize_rejects_bad_population_size():
 
 def test_initialize_single_bit_repairs_to_one():
     pop = initialize(FsroParams(population_size=4), 1, RngStream(3))
-    for a in pop.agents:
-        assert list(a.solution) == [1]
+    assert pop.solutions.tolist() == [[1]] * 4
 
 
 def test_initialize_bit_frequency():
     total = ones = 0
     for seed in range(1000):
         pop = initialize(FsroParams(), 34, RngStream(seed))
-        for a in pop.agents:
-            ones += int(a.solution.sum())
-            total += a.solution.size
+        ones += int(pop.solutions.sum())
+        total += pop.solutions.size
     # D=34 makes the all-zero repair event negligible (p = 2^-34)
     assert 0.47 <= ones / total <= 0.53
 
@@ -122,22 +115,22 @@ def test_two_point_length_mismatch():
 
 def test_uniform_hand_case():
     # seed 4 draws the mask 101010 on 6 bits
-    child, rec = uniform_crossover(ZEROS6, ONES6, RngStream(4))
-    assert list(rec.mask) == [True, False, True, False, True, False]
+    child, mask, changed = uniform_crossover(ZEROS6, ONES6, RngStream(4))
+    assert list(mask) == [True, False, True, False, True, False]
     assert list(child) == [1, 0, 1, 0, 1, 0]
-    assert list(np.flatnonzero(rec.changed)) == [0, 2, 4]
+    assert list(np.flatnonzero(changed)) == [0, 2, 4]
 
 
 def test_uniform_identical_parents_changed_empty():
-    child, rec = uniform_crossover(ONES6, ONES6, RngStream(5))
+    child, _, changed = uniform_crossover(ONES6, ONES6, RngStream(5))
     assert np.array_equal(child, ONES6)
-    assert not rec.changed.any()
+    assert not changed.any()
 
 
 def test_uniform_all_true_mask_returns_other_parent():
     # seed 11 draws an all-true mask on 6 bits
-    child, rec = uniform_crossover(ZEROS6, ONES6, RngStream(11))
-    assert rec.mask.all()
+    child, mask, _ = uniform_crossover(ZEROS6, ONES6, RngStream(11))
+    assert mask.all()
     assert np.array_equal(child, ONES6)
 
 
@@ -148,11 +141,11 @@ def test_uniform_membership_and_changed_set():
         d = int(gen.integers(1, 20))
         a = new_mask(gen.integers(0, 2, size=d))
         b = new_mask(gen.integers(0, 2, size=d))
-        child, rec = uniform_crossover(a, b, rng)
+        child, mask, changed = uniform_crossover(a, b, rng)
         assert all(child[i] in (a[i], b[i]) for i in range(d))
-        assert rec.changed.dtype == bool
-        assert np.array_equal(rec.changed, child != a)
-        assert all(1 <= bnd <= d - 1 for bnd in rec.boundaries)
+        assert np.array_equal(child, np.where(mask, b, a))
+        assert changed.dtype == bool
+        assert np.array_equal(changed, child != a)
 
 
 # --- approach phase ---------------------------------------------------------
@@ -160,36 +153,34 @@ def test_uniform_membership_and_changed_set():
 def test_predation_escape_selects_single_index():
     # seed 0 draws s=2 from index(6)
     rec = record_from([True, False, True, False, True, False], {0, 2, 4}, 6)
-    assert set(determine_predation_points(rec, RngStream(0))) == {2}
+    assert set(determine_predation_points(*rec, RngStream(0))) == {2}
 
 
 def test_predation_immobile_selects_block_to_end():
     # mask 111000 has its only boundary at 3; seed 2 draws s=5, an unchanged
     # index, so the staked block is [3, 6)
     rec = record_from([True, True, True, False, False, False], {0, 1, 2}, 6)
-    assert set(determine_predation_points(rec, RngStream(2))) == {3, 4, 5}
+    assert set(determine_predation_points(*rec, RngStream(2))) == {3, 4, 5}
 
 
 def test_predation_immobile_selects_block_before_boundary():
     # seed 1 draws s=1; nearest boundary 3 lies above s, so stake [0, 3)
     rec = record_from([False, False, False, True, True, True], {3, 4, 5}, 6)
-    assert set(determine_predation_points(rec, RngStream(1))) == {0, 1, 2}
+    assert set(determine_predation_points(*rec, RngStream(1))) == {0, 1, 2}
 
 
 def test_predation_no_boundary_falls_back_to_single_index():
     rec = record_from([False] * 6, (), 6)
     s = RngStream(9).index(6)
-    assert set(determine_predation_points(rec, RngStream(9))) == {s}
+    assert set(determine_predation_points(*rec, RngStream(9))) == {s}
 
 
 def test_predation_boundary_tie_prefers_smaller():
     # boundaries at 2 and 6; from s=4 both are distance 2 away
     rec = record_from([True, True, False, False, False, False, True, True], {0, 1, 6, 7}, 8)
-    assert tuple(rec.boundaries) == (2, 6)
-    # seed 19 draws s=4 from index(8)? verify, else find: s must be 4
     for seed in range(200):
         if RngStream(seed).index(8) == 4:
-            points = determine_predation_points(rec, RngStream(seed))
+            points = determine_predation_points(*rec, RngStream(seed))
             assert set(points) == {2, 3, 4, 5, 6, 7}
             break
     else:
@@ -332,93 +323,116 @@ def test_update_preserves_sum_and_monotonicity():
 
 # --- regrouping -------------------------------------------------------------
 
+AGE_BITS = 6
+
+
 def make_population(n_frogs, n_snakes, fitnesses=None):
-    agents = []
-    for i in range(n_frogs + n_snakes):
-        group = Group.FROG if i < n_frogs else Group.SNAKE
-        fit = fitnesses[i] if fitnesses else i / 100.0
-        agents.append(Agent(new_mask([1, 0, 1]), group, fitness=fit, prev_fitness=fit))
+    """Frogs then snakes, row i the AGE_BITS-bit binary of i + 1, so every
+    row is distinct and names its age; the all-ones best mask names none."""
     n = n_frogs + n_snakes
-    return PopulationState(agents=agents, frog_share=n_frogs / n, snake_share=n_snakes / n,
-                           global_best_mask=new_mask([1, 0, 1]),
+    solutions = (np.arange(1, n + 1)[:, None] >> np.arange(AGE_BITS) & 1).astype(np.uint8)
+    fitness = np.array(fitnesses if fitnesses else [i / 100.0 for i in range(n)])
+    return PopulationState(solutions=solutions, frog=np.arange(n) < n_frogs, fitness=fitness,
+                           frog_share=n_frogs / n, snake_share=n_snakes / n,
+                           global_best_mask=np.ones(AGE_BITS, dtype=np.uint8),
                            global_best_fitness=0.0)
 
 
-def same_agents(xs, ys):
-    """The same agent objects in the same order."""
-    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+def ages(pop):
+    """Each row's place in make_population's order, read from its bits;
+    None for a clone of the best mask."""
+    codes = (pop.solutions.astype(int) << np.arange(AGE_BITS)).sum(axis=1)
+    return [None if c == 2**AGE_BITS - 1 else int(c) - 1 for c in codes]
 
 
-def ages(agents, start):
-    """Each agent's place in `start` by identity; None for one not in it."""
-    return [next((i for i, b in enumerate(start) if b is a), None) for a in agents]
+def counts(pop):
+    return int(pop.frog.sum()), int((~pop.frog).sum())
 
 
 def test_resize_balanced():
     pop = make_population(20, 20)
     resize_groups(pop, (0.5, 0.5))
-    assert len(pop.frogs()) == 20
+    assert counts(pop) == (20, 20)
 
 
 def test_resize_grows_frogs_from_worst_snakes():
     pop = make_population(20, 20)
-    worst_snakes = sorted(pop.snakes(), key=lambda a: -a.fitness)[:4]
+    snakes = np.flatnonzero(~pop.frog)
+    worst_snakes = sorted(snakes, key=lambda i: -pop.fitness[i])[:4]
     resize_groups(pop, (0.6, 0.4))
-    assert len(pop.frogs()) == 24
-    assert len(pop.snakes()) == 16
-    assert all(a.group is Group.FROG for a in worst_snakes)
+    assert counts(pop) == (24, 16)
+    assert pop.frog[worst_snakes].all()
+    assert ages(pop) == list(range(40))
 
 
 def test_resize_relabels_the_earliest_of_equally_fit_agents_first():
     pop = make_population(20, 20, fitnesses=[0.5] * 40)
-    snakes = pop.snakes()
+    snakes = np.flatnonzero(~pop.frog)
     resize_groups(pop, (0.6, 0.4))
-    assert same_agents([a for a in snakes if a.group is Group.FROG], snakes[:4])
+    assert snakes[pop.frog[snakes]].tolist() == snakes[:4].tolist()
+    assert ages(pop) == list(range(40))
 
     pop = make_population(20, 20, fitnesses=[0.5] * 40)
-    frogs = pop.frogs()
+    frogs = np.flatnonzero(pop.frog)
     resize_groups(pop, (0.4, 0.6))
-    assert same_agents([a for a in frogs if a.group is Group.SNAKE], frogs[:4])
+    assert frogs[~pop.frog[frogs]].tolist() == frogs[:4].tolist()
+    assert ages(pop) == list(range(40))
+
+    # ties among better rows, in a group of more than 16 rows, where an
+    # unstable sort (numpy's default) can take a later tie first
+    pop = make_population(20, 20, fitnesses=[0.1] * 20 + [0.5, 0.1, 0.5, 0.5, 0.1] * 4)
+    snakes = np.flatnonzero(~pop.frog)
+    resize_groups(pop, (0.65, 0.35))
+    assert snakes[pop.frog[snakes]].tolist() == snakes[[0, 2, 3, 5, 7, 8]].tolist()
 
 
 def test_resize_clamps_to_keep_one_snake():
     pop = make_population(20, 20)
     resize_groups(pop, (0.999, 0.001))
-    assert len(pop.frogs()) == 39
-    assert len(pop.snakes()) == 1
+    assert counts(pop) == (39, 1)
 
 
 def test_ess_reseeds_small_group():
     pop = make_population(2, 38)
     ess_mutation(pop, 2)
-    assert len(pop.frogs()) == 3
-    assert len(pop.snakes()) == 37
-    newest = pop.agents[-1]
-    assert newest.group is Group.FROG
-    assert np.array_equal(newest.solution, pop.global_best_mask)
-    assert len(pop.agents) == 40
+    assert counts(pop) == (3, 37)
+    assert pop.frog[-1]
+    assert np.array_equal(pop.solutions[-1], pop.global_best_mask)
+    assert pop.fitness[-1] == pop.global_best_fitness
+    assert len(pop.solutions) == len(pop.fitness) == 40
+    # the clone is the newest row
+    assert ages(pop)[-1] is None
 
 
 def test_ess_drops_the_earliest_of_equally_fit_donors():
     pop = make_population(2, 38, fitnesses=[0.5] * 40)
-    frogs, snakes = pop.frogs(), pop.snakes()
     ess_mutation(pop, 2)
-    assert same_agents(pop.snakes(), snakes[1:])
-    assert same_agents(pop.agents[:-1], frogs + snakes[1:])
+    # frogs 0 and 1 keep their places, snake 2 is dropped, the clone comes last
+    assert ages(pop) == [0, 1, *range(3, 40), None]
+    assert pop.frog.tolist() == [True, True] + [False] * 37 + [True]
+    assert pop.fitness.tolist() == [0.5] * 39 + [0.0]
+
+    # the worst snakes' ties mixed with better ones, where an unstable sort
+    # can take a later tie first: the earliest (snake 10, row 12) goes
+    worst = {10, 13, 14, 19, 20, 21, 22, 23, 27, 28, 29, 31, 32, 33, 34}
+    pop = make_population(2, 38, fitnesses=[0.1, 0.1] + [0.5 if i in worst else 0.1
+                                                         for i in range(38)])
+    ess_mutation(pop, 2)
+    assert ages(pop) == [*range(12), *range(13, 40), None]
 
 
 def test_ess_leaves_balanced_groups_alone():
     pop = make_population(20, 20)
-    before = list(pop.agents)
+    frog, fitness = pop.frog.copy(), pop.fitness.copy()
     ess_mutation(pop, 2)
-    assert same_agents(pop.agents, before)
+    assert ages(pop) == list(range(40))
+    assert np.array_equal(pop.frog, frog) and np.array_equal(pop.fitness, fitness)
 
 
 def test_ess_covers_single_member_group():
     pop = make_population(1, 39)
     ess_mutation(pop, 2)
-    assert len(pop.frogs()) == 2
-    assert len(pop.agents) == 40
+    assert counts(pop) == (2, 38)
 
 
 def test_params_reject_population_below_twice_ess_threshold():
@@ -434,38 +448,23 @@ def test_ess_at_twice_the_threshold_lifts_the_thin_group_and_keeps_the_even_spli
     for frogs, snakes in ((3, 5), (5, 3), (4, 4)):
         pop = make_population(frogs, snakes)
         ess_mutation(pop, 4)
-        assert (len(pop.frogs()), len(pop.snakes())) == (4, 4)
+        assert counts(pop) == (4, 4)
 
 
 def test_ess_below_twice_the_threshold_cannot_lift_the_thin_group():
     """Why population 4 with threshold 3 is rejected: both groups reseed and cancel."""
     pop = make_population(1, 3)
     ess_mutation(pop, 3)
-    assert (len(pop.frogs()), len(pop.snakes())) == (1, 3)
+    assert counts(pop) == (1, 3)
 
 
 # --- pairing ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 3, 4])
 def test_crossover_pairs_shuffled_positions(n):
-    d = 4
     for seed in range(8):
-        # distinct parents, so each call names the partner it crossed with
-        group = [Agent(new_mask([(i + 1) >> k & 1 for k in range(d)]), Group.FROG)
-                 for i in range(n)]
-        parents = [a.solution for a in group]
-        calls = []
-
-        def cross(solutions, partner, rng):
-            calls.append((solutions, partner))
-            children = [new_mask(np.eye(d, dtype=np.uint8)[rng.index(d)]) for _ in partner]
-            return children, list(range(n))
-
         rng = RngStream(seed)
-        records = _crossover(group, cross, rng)
-        assert records == list(range(n))
-        [(solutions, partner)] = calls
-        assert all(a is parent for a, parent in zip(solutions, parents))
+        partner = _partners(n, rng)
 
         replay = RngStream(seed)
         order = list(range(n))
@@ -476,10 +475,8 @@ def test_crossover_pairs_shuffled_positions(n):
             assert partner[order[-1]] == order[0]
         if n == 1:
             assert partner == [0]
-        # cross draws right after the one shuffle, and each agent keeps its child
-        for a in group:
-            assert list(a.solution) == list(np.eye(d, dtype=np.uint8)[replay.index(d)])
-        assert rng.uniform() == replay.uniform()
+        # the pairing draws the one shuffle and nothing else
+        assert rng.getstate() == replay.getstate()
 
 
 @pytest.mark.parametrize("cross", [_two_point_group, _uniform_group])
@@ -489,14 +486,18 @@ def test_group_crossover_draws_per_agent_then_repair(cross, n):
     for seed in range(8):
         # all-zero parents and one distinct one: most children need a repair,
         # and the distinct parent shows whether a cross read a parent or a child
-        parents = [new_mask([0] * d) for _ in range(n)]
-        parents[0] = new_mask([1, 0, 1, 0])
+        parents = np.zeros((n, d), dtype=np.uint8)
+        parents[0] = [1, 0, 1, 0]
+        given_parents = parents.copy()
         partner = [(i + 1) % n for i in range(n)]
         rng = RngStream(seed)
-        children, _ = cross(list(parents), partner, rng)
+        children = cross(given_parents, partner, rng)
+        if cross is _uniform_group:
+            children = children[0]
+        assert np.array_equal(given_parents, parents)
 
-        # after the shuffle, each agent draws its crossover then its repair,
-        # in group order, crossing with its partner's parent solution
+        # after the shuffle, each row draws its crossover then its repair,
+        # in row order, crossing with its partner's parent solution
         replay = RngStream(seed)
         for i, mate in enumerate(partner):
             if cross is _two_point_group:
@@ -525,39 +526,29 @@ def test_step_preserves_population_and_improves_best(small_m_of_n):
     evaluator, rng = make_evaluator(small_m_of_n, seed=11)
     params = FsroParams(population_size=8, max_iterations=5)
     pop = initialize(params, small_m_of_n.n_features, rng)
-    for a in pop.agents:
-        a.fitness = evaluator(a.solution)
-        if pop.global_best_fitness is None or a.fitness < pop.global_best_fitness:
-            pop.global_best_fitness = a.fitness
-            pop.global_best_mask = a.solution.copy()
+    _evaluate(pop, evaluator.evaluate_all)
     for _ in range(10):
         before = pop.global_best_fitness
         step(pop, params, evaluator.evaluate_all, rng)
-        assert len(pop.agents) == 8
-        assert len(pop.frogs()) >= 1
-        assert len(pop.snakes()) >= 1
+        assert pop.solutions.shape == (8, small_m_of_n.n_features)
+        assert pop.frog.shape == pop.fitness.shape == (8,)
+        assert 1 <= pop.frog.sum() <= 7
         assert pop.global_best_fitness <= before
         assert abs(pop.frog_share + pop.snake_share - 1.0) < 1e-12
-        assert all(a.solution.sum() >= 1 for a in pop.agents)
+        assert pop.solutions.sum(axis=1).min() >= 1
 
 
 def test_step_deterministic_from_same_state():
     params = FsroParams(population_size=8, max_iterations=1)
     pop_a = initialize(params, 6, RngStream(21))
-    for a in pop_a.agents:
-        a.fitness = count_ones(a.solution)
-    pop_a.global_best_fitness = min(a.fitness for a in pop_a.agents)
-    pop_a.global_best_mask = pop_a.agents[0].solution.copy()
+    _evaluate(pop_a, count_ones_fitness)
     pop_b = copy.deepcopy(pop_a)
-    start_a, start_b = list(pop_a.agents), list(pop_b.agents)
     step(pop_a, params, count_ones_fitness, RngStream(77))
     step(pop_b, params, count_ones_fitness, RngStream(77))
     assert pop_a.frog_share == pop_b.frog_share
-    assert ages(pop_a.agents, start_a) == ages(pop_b.agents, start_b)
-    for x, y in zip(pop_a.agents, pop_b.agents):
-        assert np.array_equal(x.solution, y.solution)
-        assert x.fitness == y.fitness
-        assert x.group == y.group
+    assert np.array_equal(pop_a.solutions, pop_b.solutions)
+    assert np.array_equal(pop_a.fitness, pop_b.fitness)
+    assert np.array_equal(pop_a.frog, pop_b.frog)
 
 
 def test_run_zero_iterations_returns_initial_best():
@@ -565,7 +556,7 @@ def test_run_zero_iterations_returns_initial_best():
     outcome = run_search(params, 6, count_ones_fitness, RngStream(31))
     assert len(outcome.trace) == 1
     pop = initialize(params, 6, RngStream(31))
-    assert outcome.best_fitness == min(count_ones(a.solution) for a in pop.agents)
+    assert outcome.best_fitness == min(count_ones_fitness(pop.solutions))
 
 
 def test_run_trace_contract():
@@ -601,31 +592,59 @@ def mismatch_fitness(masks):
     return [float(np.mean(m != (np.arange(m.size) % 2 == 0))) for m in masks]
 
 
+POPULATIONS = st.integers(2, 10).map(lambda half: 2 * half)
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       population=st.integers(2, 10).map(lambda half: 2 * half),
-       dim=st.integers(1, 12),
-       iterations=st.integers(0, 5))
+@given(seed=st.integers(0, 2**32 - 1), population=POPULATIONS,
+       dim=st.integers(1, 12), iterations=st.integers(0, 5))
 def test_step_keeps_population_state_invariants(seed, population, dim, iterations):
     """The PopulationState invariants hold after every step."""
     params = FsroParams(population_size=population, max_iterations=iterations)
     rng = RngStream(seed)
     pop = initialize(params, dim, rng)
-    fits = mismatch_fitness([a.solution for a in pop.agents])
-    for a, fit in zip(pop.agents, fits):
-        a.fitness = fit
-    pop.global_best_fitness = min(fits)
-    pop.global_best_mask = pop.agents[fits.index(min(fits))].solution.copy()
+    _evaluate(pop, mismatch_fitness)
     for _ in range(iterations):
         best = pop.global_best_fitness
-        before = list(pop.agents)
         step(pop, params, mismatch_fitness, rng)
         assert abs(pop.frog_share + pop.snake_share - 1.0) < 1e-12
-        assert len(pop.agents) == population
-        assert pop.frogs() and pop.snakes()
+        assert pop.solutions.shape == (population, dim)
+        assert pop.frog.shape == pop.fitness.shape == (population,)
+        assert pop.frog.any() and not pop.frog.all()
         assert pop.global_best_fitness <= best
+        assert pop.fitness.tolist() == mismatch_fitness(pop.solutions)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), population=POPULATIONS,
+       dim=st.integers(1, 12), iterations=st.integers(0, 5))
+def test_step_matches_the_list_based_reference(seed, population, dim, iterations):
+    """After every step the arrays hold what the agent-list bookkeeping holds,
+    row for agent in age order, and the stream stands at the same place."""
+    params = FsroParams(population_size=population, max_iterations=iterations)
+    rng = RngStream(seed)
+    pop = initialize(params, dim, rng)
+    _evaluate(pop, mismatch_fitness)
+    ref = ListPopulation([ListAgent(row.copy(), bool(frog), float(fit))
+                          for row, frog, fit in zip(pop.solutions, pop.frog, pop.fitness)],
+                         pop.frog_share, pop.snake_share,
+                         pop.global_best_mask.copy(), pop.global_best_fitness)
+    ref_rng = RngStream(0)
+    ref_rng.setstate(rng.getstate())
+    for _ in range(iterations):
+        before = list(ref.agents)
+        step(pop, params, mismatch_fitness, rng)
+        list_fsro_step(ref, params, mismatch_fitness, ref_rng)
+        assert pop.solutions.tolist() == [a.solution.tolist() for a in ref.agents]
+        assert pop.frog.tolist() == [a.frog for a in ref.agents]
+        assert pop.fitness.tolist() == [a.fitness for a in ref.agents]
+        assert (pop.frog_share, pop.snake_share) == (ref.frog_share, ref.snake_share)
+        assert pop.global_best_fitness == ref.best_fitness
+        assert pop.global_best_mask.tolist() == ref.best_mask.tolist()
+        assert pop.captured == ref.captured
+        assert rng.getstate() == ref_rng.getstate()
         # age order: survivors keep their relative order, clones come last
-        order = ages(pop.agents, before)
+        order = [next((i for i, b in enumerate(before) if b is a), None) for a in ref.agents]
         kept = [i for i in order if i is not None]
         assert kept == sorted(kept)
         assert order == kept + [None] * (len(order) - len(kept))
