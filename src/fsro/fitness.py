@@ -50,10 +50,25 @@ The evaluator finds them by one of two paths, fixed per split:
   differ: popcount((test_word ^ train_word) & mask_word) over rows packed
   into uint64 words by `_pack`. Every partial sum of the planes is such a
   small integer, which float64 holds exactly, so the popcount is the exact
-  distance to the bit. `_nearest_keys` ranks the composite keys
-  distance << shift | train_index, which are unique per row and order
-  exactly as (distance, index) does, so k passes of `min` take the same
-  neighbors as the k argmin passes, in the same order.
+  distance to the bit. Two more exact facts let it skip most of that work.
+  A row's projection is its bits on the mask's selected features, and a
+  mask's cell is the train rows with one projection.
+  - popcount((x ^ y) & m) = popcount((x & m) ^ (y & m)), so a test row's
+    neighbors depend only on its projection: test rows with one projection
+    are one pair, scored once.
+  - A train row at distance 0 comes before every other in (distance,
+    index) order, so when a pair's cell holds k rows or more, the cell's k
+    lowest indices are its neighbors, in order, with no popcount.
+  Grouping costs sorts, so it serves the masks whose cells can fill by
+  pigeonhole, (k - 1) * 2**s < n_train for s selected features, with k - 1
+  read as 1 at k = 1. A row's code under such a mask sums 2**rank over the
+  selected features it sets: below n_train, and exact from one GEMM.
+  `_cells` groups the codes and takes the full cells. Every other pair, and
+  every test row of a mask the gate skips, ranks the composite keys
+  distance << shift | train_index of `_bit_keys`, which are unique per row
+  and order exactly as (distance, index) does, so `_nearest_keys`'s k passes
+  of `min` take the same neighbors as the k argmin passes, in the same
+  order.
 """
 
 from __future__ import annotations
@@ -95,10 +110,10 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
     return out
 
 
-# Largest per-mask buffer that one block of test rows may use, about one
-# core's L2 cache: the screen's (masks, rows, n_train) float64 distances and
-# its (masks, rows, n_features) masked test values each fit, as do the bit
-# path's (masks, rows, n_train) composite keys.
+# Largest buffer that one block of test rows may use, about one core's L2
+# cache: the screen's (masks, rows, n_train) float64 distances and its
+# (masks, rows, n_features) masked test values each fit, as do the bit path's
+# composite keys, at most one (n_train,) row per (mask, row) of a block.
 BLOCK_BYTES = 2_000_000
 
 
@@ -225,22 +240,63 @@ def _recheck(neighbors, flagged, matrix, test_rows, train_rows, buf, scratch) ->
         exact.reshape(-1, n_train), k).reshape(masks.size, rows.size, k)
 
 
-def _bit_keys(keys: np.ndarray, mask_words: np.ndarray, xor: np.ndarray,
-              shift: int) -> None:
-    """Write each mask's composite keys, distance << shift | train_index.
+def _cells(test_codes: np.ndarray, train_codes: np.ndarray, k: int):
+    """Group (mask, test row) pairs by projection; take full cells' neighbors.
 
-    keys is (n, rows, n_train) for the n masks of mask_words, (n, words);
-    xor is (words, rows, n_train), test words ^ train words. A mask's
-    distance is the popcount of xor & mask, summed over the words.
+    test_codes (masks, n_test) and train_codes (masks, n_train) hold each
+    row's projection code under each mask, every code below n_train. A pair
+    is a distinct (mask, code) of the test rows, standing for every test row
+    with that code; its cell is the train rows with that code. Returns each
+    pair's mask and lowest test row, the pair of every (mask, test row),
+    mask-major, and the pairs' (pairs, k) neighbors with the flags of those
+    set: a cell of k rows or more gives its k lowest train indices.
     """
+    n_test, n_train = test_codes.shape[1], train_codes.shape[1]
+    base = np.arange(len(test_codes))[:, None] * n_train
+    # an id is mask * n_train + code; sorted, id * n_test + row puts each
+    # id's rows together, lowest first
+    ids, rows = np.divmod(np.sort((base + test_codes) * n_test + np.arange(n_test), axis=None),
+                          n_test)
+    first = np.diff(ids, prepend=-1) != 0
+    pairs = ids[first]
+    inverse = np.empty(ids.size, dtype=np.int64)
+    inverse[ids // n_train * n_test + rows] = np.cumsum(first) - 1
+    # sorted, id * n_train + train index makes each cell one run, in
+    # train-index order
+    cells = base + train_codes
+    full = np.bincount(cells.ravel(), minlength=base.size * n_train)[pairs] >= k
+    cells = np.sort(cells * n_train + np.arange(n_train), axis=None)
+    start = np.searchsorted(cells, pairs[full] * n_train)
+    neighbors = np.empty((len(pairs), k), dtype=np.int64)
+    neighbors[full] = cells[start[:, None] + np.arange(k)] % n_train
+    return pairs // n_train, rows[first], inverse, neighbors, full
+
+
+def _bit_keys(keys: np.ndarray, runs, xor: np.ndarray, shift: int) -> None:
+    """Write the composite keys, distance << shift | train_index, of (mask, test row) pairs.
+
+    keys is (pairs, n_train) and xor (words, rows, n_train), one block's test
+    words ^ train words. runs gives, for each run of consecutive key rows,
+    its mask's packed words and the xor rows of its pairs, or None when the
+    run takes every row of the block in order; that run reads the xor planes
+    in place, any other gathers its rows first. A pair's distance is the
+    popcount of xor & mask, summed over the words.
+    """
+    # a mask holds at most one pair per row, so one plane's size is enough
     tile = np.empty(xor.shape[1:], dtype=np.uint64)
-    for key, words in zip(keys, mask_words):
+    lo = 0
+    for words, picked in runs:
+        hi = lo + (len(tile) if picked is None else len(picked))
+        key, tiles = keys[lo:hi], tile[:hi - lo]
         for w, (plane, word) in enumerate(zip(xor, words)):
-            np.bitwise_and(plane, word, out=tile)
+            if picked is not None:
+                plane = np.take(plane, picked, axis=0, out=tiles)
+            np.bitwise_and(plane, word, out=tiles)
             if w:
-                np.add(key, np.bitwise_count(tile), out=key)
+                np.add(key, np.bitwise_count(tiles), out=key)
             else:
-                np.bitwise_count(tile, out=key)
+                np.bitwise_count(tiles, out=key)
+        lo = hi
     np.left_shift(keys, shift, out=keys)
     np.bitwise_or(keys, np.arange(keys.shape[-1], dtype=keys.dtype), out=keys)
 
@@ -266,10 +322,10 @@ def _nearest_keys(keys: np.ndarray, k: int, shift: int) -> np.ndarray:
 
 def _vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
     """Majority vote per row; ties go to the smallest class index."""
-    counts = np.zeros((neighbor_labels.shape[0], n_classes), dtype=np.int64)
-    rows = np.repeat(np.arange(neighbor_labels.shape[0]), neighbor_labels.shape[1])
-    np.add.at(counts, (rows, neighbor_labels.ravel()), 1)
-    return counts.argmax(axis=1)
+    n = neighbor_labels.shape[0]
+    slots = np.arange(n)[:, None] * n_classes + neighbor_labels
+    counts = np.bincount(slots.ravel(), minlength=n * n_classes)
+    return counts.reshape(n, n_classes).argmax(axis=1)
 
 
 def fitness_value(err: float, selected_count: int, total_features: int, alpha: float) -> float:
@@ -289,9 +345,11 @@ class FitnessEvaluator:
 
     - `evaluate_all(masks)` is the optimizers' entry point: it scores a
       generation. Cached and duplicate masks are dropped, and `_score` scores
-      the rest together, one block of test rows at a time. A block keeps each
-      per-mask buffer within BLOCK_BYTES (at least one row). No buffer
-      survives a batch.
+      the rest together. The float path works one block of test rows at a
+      time; the bit path takes full cells for the whole split at once, then
+      ranks keys one block of test rows at a time. A block keeps each buffer
+      within BLOCK_BYTES (at least one row). No buffer survives a batch; the
+      bit path packs the rows into words per batch.
     - `__call__(mask)` gives one mask's fitness. Inside `evaluate_all` it is
       called once per mask, and its first cache miss scores the whole
       pending batch, so wrapping `__call__` observes every evaluation and its
@@ -386,21 +444,54 @@ class FitnessEvaluator:
             yield lo, hi, neighbors.reshape(-1, k)
 
     def _bit_blocks(self, matrix: np.ndarray):
-        """Yield (lo, hi, neighbors) per block of test rows: popcount keys, min passes."""
+        """Yield (0, n_test, neighbors) for the whole split: full cells, then popcount keys."""
         n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
+        k = self.params.k_neighbors
+        gated = max(k - 1, 1) * np.exp2(matrix.sum(axis=1)) < n_train
+        skipped, kept = np.flatnonzero(~gated), np.flatnonzero(gated)
+        # a row's code sums 2**rank over the selected features it sets: one
+        # exact GEMM, and below n_train under the gate
+        chosen = matrix[gated]
+        powers = chosen * np.exp2(np.cumsum(chosen, axis=1, dtype=np.float64) - 1.0)
+        owners, rows, inverse, pair_neighbors, full = _cells(
+            (powers @ self._test_rows).astype(np.int64),
+            (powers @ self._train_rows).astype(np.int64), k)
+        # popcount keys, one block of test rows at a time: every row of each
+        # skipped mask, then the gated pairs without a full cell, taken as
+        # (gated mask, row) places in `at`, sorted by block, mask and row
         shift = (n_train - 1).bit_length()
+        per = max(1, min(n_test, BLOCK_BYTES // (self._key_dtype.itemsize * n_train * n)))
+        blocks = range(0, n_test, per)
+        todo = np.flatnonzero(~full)
+        at = np.sort(rows[todo] // per * inverse.size + owners[todo] * n_test + rows[todo])
+        edges = np.searchsorted(at, np.arange(len(blocks) + 1) * inverse.size)
+        at %= inverse.size
         # word-major (words, rows): xor[w] below is one contiguous tile per word
         test_words, train_words = _pack(self.test_x).T, _pack(self.train_x).T
         mask_words = _pack(matrix)
-        rows = max(1, min(n_test, BLOCK_BYTES // (self._key_dtype.itemsize * n_train * n)))
-        buf = np.empty(n * rows * n_train, dtype=self._key_dtype)
-        for lo in range(0, n_test, rows):
-            hi = min(lo + rows, n_test)
-            keys = buf[:n * (hi - lo) * n_train].reshape(n, hi - lo, n_train)
+        buf = np.empty((skipped.size * per + int(np.diff(edges).max())) * n_train,
+                       dtype=self._key_dtype)
+        every_row = list(zip(mask_words[skipped], [None] * skipped.size))
+        neighbors = np.empty((n, n_test, k), dtype=np.int64)
+        for lo, a, b in zip(blocks, edges, edges[1:]):
+            hi = min(lo + per, n_test)
+            runs = every_row
+            if a < b:
+                owner, row = np.divmod(at[a:b], n_test)
+                starts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
+                runs = every_row + list(zip(mask_words[kept[owner[np.r_[0, starts]]]],
+                                            np.split(row - lo, starts)))
+            elif not every_row:
+                continue
+            split = skipped.size * (hi - lo)
             xor = np.bitwise_xor(test_words[:, lo:hi, None], train_words[:, None, :])
-            _bit_keys(keys, mask_words, xor, shift)
-            yield lo, hi, _nearest_keys(keys.reshape(-1, n_train), self.params.k_neighbors,
-                                        shift)
+            keys = buf[:(split + b - a) * n_train].reshape(-1, n_train)
+            _bit_keys(keys, runs, xor, shift)
+            cols = _nearest_keys(keys, k, shift)
+            neighbors[skipped, lo:hi] = cols[:split].reshape(skipped.size, hi - lo, k)
+            pair_neighbors[inverse[at[a:b]]] = cols[split:]
+        neighbors[gated] = pair_neighbors[inverse].reshape(-1, n_test, k)
+        yield 0, n_test, neighbors.reshape(-1, k)
 
     def evaluate_all(self, masks) -> list[float]:
         """Fitness of each mask, in order; the batch form optimizers call."""

@@ -273,9 +273,10 @@ def scalar_m_of_n_bits(n_instances, d, rng):
                     dtype=np.float64)
 
 
-# The one-mask reference: not independent, it is the package's own distance
-# sum, top-k and vote on one mask, with no cache, batch, screen or blocks.
-# The evaluator's batched paths must give its results bit for bit.
+# The one-mask reference: not independent in its distances, it is the
+# package's own distance sum and top-k on one mask, with no cache, batch,
+# screen, cells or blocks, but it counts votes on its own. The evaluator's
+# batched paths must give its results bit for bit.
 
 def knn_predict(train_x, train_y, queries, k, mask):
     """Predict class labels for each query row using masked Euclidean KNN."""
@@ -288,8 +289,9 @@ def knn_predict(train_x, train_y, queries, k, mask):
     d2 = np.empty_like(scratch)
     fitness._accumulate([d2], mask[None, :], queries.T, train_x.T, scratch)
     neighbors = fitness._nearest_indices(d2, k)
-    n_classes = int(train_y.max()) + 1
-    return fitness._vote(train_y[neighbors], n_classes)
+    # per row, the most frequent label; a tie goes to the smallest
+    return np.array([min(set(labels), key=lambda c: (-labels.count(c), c))
+                     for labels in train_y[neighbors].tolist()], dtype=np.int64)
 
 
 def error_rate(train_x, train_y, test_x, test_y, k, mask):

@@ -1,7 +1,10 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_evaluator
 from fsro import FitnessParams, RngStream, blas, fitness, generate_m_of_n
@@ -233,6 +236,48 @@ def _set_block_rows(monkeypatch, evaluator, n_masks, config):
     return [min(rows, n_test - lo) for lo in range(0, n_test, rows)]
 
 
+def _gated(evaluator, mask):
+    """The bit path's gate: the mask's cells can hold k train rows by pigeonhole."""
+    k, n_train = evaluator.params.k_neighbors, len(evaluator.train_y)
+    return max(k - 1, 1) * 2 ** int(mask.sum()) < n_train
+
+
+def _projections(rows, mask):
+    """Each row's bits on the mask's selected features, as bytes."""
+    return [r.tobytes() for r in rows[:, mask.astype(bool)].astype(np.uint8)]
+
+
+def _keyed_rows(evaluator, masks):
+    """Reference for the bit path's keyed pairs: (mask, test row) of each.
+
+    A mask the gate skips keys every test row. A gated mask keys the lowest
+    test row of each projection whose cell, the train rows with the same
+    projection, holds fewer than k rows; the other test rows are resolved
+    by their cells.
+    """
+    keyed = []
+    for i, mask in enumerate(masks):
+        tests = _projections(evaluator.test_x, mask)
+        if not _gated(evaluator, mask):
+            keyed += [(i, row) for row in range(len(tests))]
+            continue
+        cells = Counter(_projections(evaluator.train_x, mask))
+        lowest = {}
+        for row, code in enumerate(tests):
+            lowest.setdefault(code, row)
+        keyed += [(i, row) for code, row in lowest.items()
+                  if cells[code] < evaluator.params.k_neighbors]
+    return keyed
+
+
+def _key_blocks(evaluator, masks, sizes):
+    """The (pairs, n_train) key matrix of each block of test rows that keys a pair."""
+    bounds = np.cumsum([0, *sizes])
+    rows = np.array([row for _, row in _keyed_rows(evaluator, masks)], dtype=np.int64)
+    counts = [np.count_nonzero((rows >= lo) & (rows < hi)) for lo, hi in zip(bounds, bounds[1:])]
+    return [(c, len(evaluator.train_y)) for c in counts if c]
+
+
 def _zero_seeded_distances(evaluator, mask):
     """Reference: zeros plus each squared-difference plane, in feature order."""
     test_x, train_x = evaluator.test_x, evaluator.train_x
@@ -314,7 +359,8 @@ def test_bit_path_matches_float_path(config, monkeypatch):
     dataset = KERNEL_DATASETS["binary"]()
     masks = _random_masks(dataset.n_features, 30, seed=12)
     batch = masks + [m.copy() for m in masks[::3]] + masks[:5]
-    uncached = {m.tobytes() for m in masks} - {m.tobytes() for m in masks[::4]}
+    cached = {m.tobytes() for m in masks[::4]}
+    uncached = {m.tobytes(): m for m in masks if m.tobytes() not in cached}
     outputs = {}
     for path in ("float", "bit"):
         with monkeypatch.context() as mp:
@@ -336,8 +382,14 @@ def test_bit_path_matches_float_path(config, monkeypatch):
             for name in ("_nearest_and_gap", "_nearest_keys"):
                 mp.setattr(fitness, name, spy(getattr(fitness, name)))
             got = evaluator.evaluate_all(batch)
-        n_train = len(evaluator.train_y)
-        assert blocks == [(len(uncached) * r, n_train) for r in sizes]
+        if path == "float":
+            assert blocks == [(len(uncached) * r, len(evaluator.train_y)) for r in sizes]
+        else:  # only the keyed pairs, and only blocks that hold one
+            assert blocks == _key_blocks(evaluator, list(uncached.values()), sizes)
+            # cells resolve some pairs, on both sides of the gate
+            gated = [_gated(evaluator, m) for m in uncached.values()]
+            assert any(gated) and not all(gated)
+            assert sum(n for n, _ in blocks) < len(uncached) * len(evaluator.test_y)
         outputs[path] = got, [evaluator.error_and_fitness(m) for m in masks]
     assert outputs["bit"] == outputs["float"]
 
@@ -356,31 +408,115 @@ def test_bit_keys_decode_to_float_distances(kind, monkeypatch):
                  .values())
     evaluator, _ = make_evaluator(dataset, seed=4)
     assert evaluator._key_dtype == np.uint16
-    n_train, k = len(evaluator.train_y), evaluator.params.k_neighbors
-    seen = []
-    real_nearest = fitness._nearest_keys
+    n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
+    k = evaluator.params.k_neighbors
+    shift = (n_train - 1).bit_length()
+    train_words = fitness._pack(evaluator.train_x).T
+    mask_of = {fitness._pack(m[None])[0].tobytes(): i for i, m in enumerate(masks)}
+    row_of = {}  # packed test row -> its lowest index; equal rows have equal distances
+    for row, words in enumerate(fitness._pack(evaluator.test_x)):
+        row_of.setdefault(words.tobytes(), row)
+    keyed, blocks = [], []
+    real_keys, real_blocks = fitness._bit_keys, FitnessEvaluator._bit_blocks
 
-    def spy(keys, k, shift):  # one block's keys, copied before top-k consumes them
-        copy = keys.reshape(len(masks), -1, n_train).copy()
-        cols = real_nearest(keys, k, shift)
-        seen.append((copy, shift, cols.reshape(len(masks), -1, k)))
-        return cols
+    def spy_keys(keys, runs, xor, shift):  # each key row's (mask, test row) and keys
+        real_keys(keys, runs, xor, shift)
+        pairs = [(mask_of[words.tobytes()], row_of[(xor[:, r, 0] ^ train_words[:, 0]).tobytes()])
+                 for words, picked in runs
+                 for r in (range(xor.shape[1]) if picked is None else picked)]
+        keyed.extend(zip(pairs, keys.copy()))
 
-    monkeypatch.setattr(fitness, "_nearest_keys", spy)
+    def spy_blocks(self, matrix):
+        for block in real_blocks(self, matrix):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(fitness, "_bit_keys", spy_keys)
+    monkeypatch.setattr(FitnessEvaluator, "_bit_blocks", spy_blocks)
     # blocks of 7 test rows of 2-byte keys
     monkeypatch.setattr(fitness, "BLOCK_BYTES", 2 * n_train * len(masks) * 7)
     evaluator.evaluate_all(masks)
-    assert len(seen) > 1
-    shift = (n_train - 1).bit_length()
-    assert {s for _, s, _ in seen} == {shift}
-    keys = np.concatenate([b for b, _, _ in seen], axis=1)
-    cols = np.concatenate([c for _, _, c in seen], axis=1)
-    for mask, key, col in zip(masks, keys, cols):
-        want = _zero_seeded_distances(evaluator, mask)
-        assert np.array_equal(key >> shift, want)
-        assert np.array_equal(key & ((1 << shift) - 1),
-                              np.broadcast_to(np.arange(n_train), key.shape))
-        assert np.array_equal(col, fitness._nearest_indices(want, k))
+    want = [_zero_seeded_distances(evaluator, mask) for mask in masks]
+    assert len({pair for pair, _ in keyed}) == len(keyed) == len(_keyed_rows(evaluator, masks))
+    for (i, row), key in keyed:
+        assert np.array_equal(key >> shift, want[i][row])
+        assert np.array_equal(key & ((1 << shift) - 1), np.arange(n_train))
+    # every pair's neighbors, keyed or taken from its cell, are the float path's
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, n_test)]
+    neighbors = blocks[0][2].reshape(len(masks), n_test, k)
+    for mask, got, distances in zip(masks, neighbors, want):
+        assert np.array_equal(got, fitness._nearest_indices(distances.copy(), k))
+    # a pair that no key row stands for was resolved by its cell: k train rows
+    # at distance 0
+    stood_for = {(i, _projections(evaluator.test_x, masks[i])[row]) for (i, row), _ in keyed}
+    celled = [(i, row) for i, mask in enumerate(masks)
+              for row, code in enumerate(_projections(evaluator.test_x, mask))
+              if (i, code) not in stood_for]
+    assert celled
+    for i, row in celled:
+        assert not want[i][row, neighbors[i, row]].any()
+
+
+@st.composite
+def cell_splits(draw):
+    """A 0/1 split with repeated rows, k, and masks on both sides of the gate.
+
+    The train rows copy a few patterns c - 1, c or c + 1 times each, beside
+    rows drawn at random, and k is c or any count up to n_train, so under
+    the all-ones mask cells of k - 1, k and k + 1 rows occur. The test rows
+    copy the same patterns. The masks hold the 1-feature and the all-ones
+    mask, the widest mask the gate takes and the narrowest it skips, where
+    the features allow, and random ones.
+    """
+    d = draw(st.sampled_from([13, 73]))  # one and two packed words
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = g.integers(0, 2, size=(draw(st.integers(1, 5)), d))
+    c = draw(st.integers(1, 6))
+    copies = draw(st.lists(st.sampled_from([c - 1, c, c + 1]), min_size=len(patterns),
+                           max_size=len(patterns)))
+    train = np.concatenate([np.repeat(patterns, copies, axis=0),
+                            g.integers(0, 2, size=(draw(st.integers(0, 12)), d))])
+    if len(train) < 2:
+        train = np.concatenate([train, g.integers(0, 2, size=(2, d))])
+    test = np.concatenate([patterns[g.integers(0, len(patterns), size=draw(st.integers(1, 12)))],
+                           g.integers(0, 2, size=(draw(st.integers(0, 4)), d))])
+    k = draw(st.one_of(st.just(min(c, len(train))), st.integers(1, len(train))))
+    labels = g.integers(0, 3, size=len(train) + len(test))
+    labels[:2] = [0, 1]  # two classes at least
+    dataset = Dataset("cells", np.concatenate([train, test]).astype(np.float64),
+                      labels.astype(np.int64))
+    split = Split(np.arange(len(train)), np.arange(len(train), len(train) + len(test)))
+    widest = next((s for s in range(d, 0, -1) if max(k - 1, 1) * 2**s < len(train)), 0)
+    sizes = [1, d, *(s for s in (widest, widest + 1) if 1 <= s <= d),
+             *draw(st.lists(st.integers(1, d), max_size=6))]
+    masks = []
+    for size in sizes:
+        mask = np.zeros(d, dtype=np.uint8)
+        mask[g.choice(d, size=size, replace=False)] = 1
+        masks.append(mask)
+    return dataset, split, k, masks
+
+
+@settings(deadline=None)
+@given(case=cell_splits(), default_blocks=st.booleans())
+def test_bit_path_cells_and_keys_match_the_oracles(case, default_blocks):
+    dataset, split, k, masks = case
+    params = FitnessParams(k_neighbors=k)
+    outputs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        if not default_blocks:
+            mp.setattr(fitness, "BLOCK_BYTES", 0)
+        for path in ("bit", "float"):
+            if path == "float":
+                _force_float_path(mp)
+            evaluator = FitnessEvaluator(dataset, split, params)
+            assert (evaluator._key_dtype is None) == (path == "float")
+            evaluator.evaluate_all(masks)
+            outputs[path] = [evaluator.error_and_fitness(m) for m in masks]
+    assert outputs["bit"] == outputs["float"]
+    for mask, (err, _) in zip(masks, outputs["bit"]):
+        assert err == error_rate(evaluator.train_x, evaluator.train_y, evaluator.test_x,
+                                 evaluator.test_y, k, mask)
 
 
 # train rows, test rows, and whether the normalized split is all 0.0 and 1.0
