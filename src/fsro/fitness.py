@@ -62,13 +62,19 @@ The evaluator finds them by one of two paths, fixed per split:
   Grouping costs sorts, so it serves the masks whose cells can fill by
   pigeonhole, (k - 1) * 2**s < n_train for s selected features, with k - 1
   read as 1 at k = 1. A row's code under such a mask sums 2**rank over the
-  selected features it sets: below n_train, and exact from one GEMM.
-  `_cells` groups the codes and takes the full cells. Every other pair, and
-  every test row of a mask the gate skips, ranks the composite keys
-  distance << shift | train_index of `_bit_keys`, which are unique per row
-  and order exactly as (distance, index) does, so `_nearest_keys`'s k passes
-  of `min` take the same neighbors as the k argmin passes, in the same
-  order.
+  selected features it sets: below n_train, and exact from one GEMM. Bit r
+  of a code is the row's bit on the mask's rank-r selected feature, so
+  popcount(test_code ^ train_code) is the distance too.
+  Every neighbor that no full cell gives is ranked by the composite keys
+  distance << shift | train_index, which `_nearest_keys` builds from the
+  distances: they are unique per row and order exactly as (distance, index)
+  does, so its k passes of `min` take the same neighbors as the k argmin
+  passes, in the same order. The distances come from two passes that share
+  nothing. The gated pass groups the codes by `_cells`, takes the full
+  cells, and keys each other pair from its codes, a chunk of pairs at a
+  time. The skipped pass keys every test row of the masks the gate skips,
+  one block of test rows at a time: `_bit_keys` takes one block's xor of
+  packed test and train words, and each mask ANDs its words into it.
 """
 
 from __future__ import annotations
@@ -113,7 +119,8 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
 # Largest buffer that one block of test rows may use, about one core's L2
 # cache: the screen's (masks, rows, n_train) float64 distances and its
 # (masks, rows, n_features) masked test values each fit, as do the bit path's
-# composite keys, at most one (n_train,) row per (mask, row) of a block.
+# (masks, rows, n_train) keys, and the gathered (pairs, n_train) int64 train
+# codes of one chunk of its gated pairs.
 BLOCK_BYTES = 2_000_000
 
 
@@ -272,42 +279,35 @@ def _cells(test_codes: np.ndarray, train_codes: np.ndarray, k: int):
     return pairs // n_train, rows[first], inverse, neighbors, full
 
 
-def _bit_keys(keys: np.ndarray, runs, xor: np.ndarray, shift: int) -> None:
-    """Write the composite keys, distance << shift | train_index, of (mask, test row) pairs.
+def _bit_keys(distances: np.ndarray, xor: np.ndarray, mask_words: np.ndarray) -> None:
+    """Write one block's popcount distances, popcount(xor & mask), for each mask.
 
-    keys is (pairs, n_train) and xor (words, rows, n_train), one block's test
-    words ^ train words. runs gives, for each run of consecutive key rows,
-    its mask's packed words and the xor rows of its pairs, or None when the
-    run takes every row of the block in order; that run reads the xor planes
-    in place, any other gathers its rows first. A pair's distance is the
-    popcount of xor & mask, summed over the words.
+    xor is (words, rows, n_train), the block's test words ^ train words, and
+    distances is (masks, rows, n_train), one plane per row of mask_words
+    (masks, words). Each mask ANDs its words into one shared tile and sums
+    the popcounts over the words.
     """
-    # a mask holds at most one pair per row, so one plane's size is enough
     tile = np.empty(xor.shape[1:], dtype=np.uint64)
-    lo = 0
-    for words, picked in runs:
-        hi = lo + (len(tile) if picked is None else len(picked))
-        key, tiles = keys[lo:hi], tile[:hi - lo]
+    for out, words in zip(distances, mask_words):
         for w, (plane, word) in enumerate(zip(xor, words)):
-            if picked is not None:
-                plane = np.take(plane, picked, axis=0, out=tiles)
-            np.bitwise_and(plane, word, out=tiles)
+            np.bitwise_and(plane, word, out=tile)
             if w:
-                np.add(key, np.bitwise_count(tiles), out=key)
+                np.add(out, np.bitwise_count(tile), out=out)
             else:
-                np.bitwise_count(tiles, out=key)
-        lo = hi
-    np.left_shift(keys, shift, out=keys)
-    np.bitwise_or(keys, np.arange(keys.shape[-1], dtype=keys.dtype), out=keys)
+                np.bitwise_count(tile, out=out)
 
 
-def _nearest_keys(keys: np.ndarray, k: int, shift: int) -> np.ndarray:
-    """Row-wise train indices of the k smallest composite keys, smallest first.
+def _nearest_keys(distances: np.ndarray, k: int, shift: int) -> np.ndarray:
+    """Row-wise indices of the k nearest columns in (distance, index) order.
 
-    Keys are unique within a row, so each pass's minimum names one column,
-    its low `shift` bits; that key then becomes the dtype maximum, which no
-    key reaches. The input matrix is consumed.
+    distances is (rows, n_train), of the key dtype. In place it becomes the
+    composite keys distance << shift | train_index, which are unique within
+    a row and order as (distance, index) does. Each pass's minimum names one
+    column, its low `shift` bits; that key then becomes the dtype maximum,
+    which no key reaches. The input matrix is consumed.
     """
+    keys = np.left_shift(distances, shift, out=distances)
+    np.bitwise_or(keys, np.arange(keys.shape[-1], dtype=keys.dtype), out=keys)
     low = (1 << shift) - 1
     top = np.iinfo(keys.dtype).max
     rows = np.arange(keys.shape[0])
@@ -344,12 +344,13 @@ class FitnessEvaluator:
     neighbors is in the module docstring.
 
     - `evaluate_all(masks)` is the optimizers' entry point: it scores a
-      generation. Cached and duplicate masks are dropped, and `_score` scores
-      the rest together. The float path works one block of test rows at a
-      time; the bit path takes full cells for the whole split at once, then
-      ranks keys one block of test rows at a time. A block keeps each buffer
-      within BLOCK_BYTES (at least one row). No buffer survives a batch; the
-      bit path packs the rows into words per batch.
+      generation. Cached and duplicate masks are dropped, and `_score`
+      votes once over the (masks, n_test, k) neighbors of the rest. The
+      float path finds them one block of test rows at a time. The bit path
+      keys its gated masks' pairs a chunk of pairs at a time, and its
+      skipped masks one block of test rows at a time. A block keeps each
+      buffer within BLOCK_BYTES (at least one row or pair). No buffer
+      survives a batch; the bit path packs the rows into words per batch.
     - `__call__(mask)` gives one mask's fitness. Inside `evaluate_all` it is
       called once per mask, and its first cache miss scores the whole
       pending batch, so wrapping `__call__` observes every evaluation and its
@@ -397,19 +398,19 @@ class FitnessEvaluator:
         if not todo:
             return
         matrix = np.array(list(todo.values()))
-        blocks = self._float_blocks if self._key_dtype is None else self._bit_blocks
-        wrong = np.zeros(len(matrix), dtype=np.int64)
-        for lo, hi, neighbors in blocks(matrix):
-            pred = _vote(self.train_y[neighbors], self.n_classes).reshape(len(matrix), hi - lo)
-            wrong += np.count_nonzero(pred != self.test_y[lo:hi], axis=1)
+        neighbors = (self._float_neighbors if self._key_dtype is None
+                     else self._bit_neighbors)(matrix)
+        pred = _vote(self.train_y[neighbors].reshape(-1, self.params.k_neighbors),
+                     self.n_classes)
+        wrong = np.count_nonzero(pred.reshape(len(matrix), -1) != self.test_y, axis=1)
         n_test = len(self.test_y)
         for key, mask, w in zip(todo, matrix, wrong.tolist()):
             err = w / n_test
             self._cache[key] = (err, fitness_value(err, int(mask.sum()), self.n_features,
                                                    self.params.alpha))
 
-    def _float_blocks(self, matrix: np.ndarray):
-        """Yield (lo, hi, neighbors) per block of test rows: GEMM screen, exact recheck."""
+    def _float_neighbors(self, matrix: np.ndarray) -> np.ndarray:
+        """(masks, n_test, k) neighbors per block of test rows: GEMM screen, exact recheck."""
         n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
         d, k = self.n_features, self.params.k_neighbors
         # per (mask, row): sums of squares over the mask, a of the test rows
@@ -423,6 +424,7 @@ class FitnessEvaluator:
         rows = max(1, min(n_test, BLOCK_BYTES // (8 * n * max(n_train, d))))
         buf, masked_buf = np.empty(n * rows * n_train), np.empty(n * rows * d)
         scratch = np.empty((rows, n_train))
+        neighbors = np.empty((n, n_test, k), dtype=np.int64)
         for lo in range(0, n_test, rows):
             hi = min(lo + rows, n_test)
             # fresh contiguous views, so the short last block still flattens
@@ -435,63 +437,59 @@ class FitnessEvaluator:
             # b - 2Q: the distance less a, which no train row's rank or gap
             # depends on
             screened += b[:, None, :]
-            neighbors, gap = _nearest_and_gap(screened.reshape(-1, n_train), k)
-            neighbors = neighbors.reshape(n, hi - lo, k)
+            cols, gap = _nearest_and_gap(screened.reshape(-1, n_train), k)
+            block = neighbors[:, lo:hi]
+            block[...] = cols.reshape(n, hi - lo, k)
             flagged = gap.reshape(n, hi - lo) <= 2.0 * _screen_tolerance(
                 selected, a[:, lo:hi], b_max)
-            _recheck(neighbors, flagged, matrix, self._test_rows[:, lo:hi],
+            _recheck(block, flagged, matrix, self._test_rows[:, lo:hi],
                      self._train_rows, buf, scratch)
-            yield lo, hi, neighbors.reshape(-1, k)
+        return neighbors
 
-    def _bit_blocks(self, matrix: np.ndarray):
-        """Yield (0, n_test, neighbors) for the whole split: full cells, then popcount keys."""
+    def _bit_neighbors(self, matrix: np.ndarray) -> np.ndarray:
+        """(masks, n_test, k) neighbors in two passes: gated masks, then skipped ones."""
         n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
-        k = self.params.k_neighbors
-        gated = max(k - 1, 1) * np.exp2(matrix.sum(axis=1)) < n_train
-        skipped, kept = np.flatnonzero(~gated), np.flatnonzero(gated)
+        k, dtype = self.params.k_neighbors, self._key_dtype
+        shift = (n_train - 1).bit_length()
+        # the gate, (k - 1) * 2**s < n_train, in integers: 2.0**s overflows
+        # from s = 1024
+        gated = matrix.sum(axis=1) < ((n_train - 1) // max(k - 1, 1)).bit_length()
+        neighbors = np.empty((n, n_test, k), dtype=np.int64)
         # a row's code sums 2**rank over the selected features it sets: one
         # exact GEMM, and below n_train under the gate
         chosen = matrix[gated]
         powers = chosen * np.exp2(np.cumsum(chosen, axis=1, dtype=np.float64) - 1.0)
-        owners, rows, inverse, pair_neighbors, full = _cells(
-            (powers @ self._test_rows).astype(np.int64),
-            (powers @ self._train_rows).astype(np.int64), k)
-        # popcount keys, one block of test rows at a time: every row of each
-        # skipped mask, then the gated pairs without a full cell, taken as
-        # (gated mask, row) places in `at`, sorted by block, mask and row
-        shift = (n_train - 1).bit_length()
-        per = max(1, min(n_test, BLOCK_BYTES // (self._key_dtype.itemsize * n_train * n)))
-        blocks = range(0, n_test, per)
+        test_codes = (powers @ self._test_rows).astype(np.int64)
+        train_codes = (powers @ self._train_rows).astype(np.int64)
+        owners, rows, inverse, pair_neighbors, full = _cells(test_codes, train_codes, k)
+        # pairs without a full cell, keyed from their codes, a chunk of pairs
+        # whose gathered train codes fit in BLOCK_BYTES at a time
         todo = np.flatnonzero(~full)
-        at = np.sort(rows[todo] // per * inverse.size + owners[todo] * n_test + rows[todo])
-        edges = np.searchsorted(at, np.arange(len(blocks) + 1) * inverse.size)
-        at %= inverse.size
-        # word-major (words, rows): xor[w] below is one contiguous tile per word
-        test_words, train_words = _pack(self.test_x).T, _pack(self.train_x).T
-        mask_words = _pack(matrix)
-        buf = np.empty((skipped.size * per + int(np.diff(edges).max())) * n_train,
-                       dtype=self._key_dtype)
-        every_row = list(zip(mask_words[skipped], [None] * skipped.size))
-        neighbors = np.empty((n, n_test, k), dtype=np.int64)
-        for lo, a, b in zip(blocks, edges, edges[1:]):
-            hi = min(lo + per, n_test)
-            runs = every_row
-            if a < b:
-                owner, row = np.divmod(at[a:b], n_test)
-                starts = np.flatnonzero(owner[1:] != owner[:-1]) + 1
-                runs = every_row + list(zip(mask_words[kept[owner[np.r_[0, starts]]]],
-                                            np.split(row - lo, starts)))
-            elif not every_row:
-                continue
-            split = skipped.size * (hi - lo)
-            xor = np.bitwise_xor(test_words[:, lo:hi, None], train_words[:, None, :])
-            keys = buf[:(split + b - a) * n_train].reshape(-1, n_train)
-            _bit_keys(keys, runs, xor, shift)
-            cols = _nearest_keys(keys, k, shift)
-            neighbors[skipped, lo:hi] = cols[:split].reshape(skipped.size, hi - lo, k)
-            pair_neighbors[inverse[at[a:b]]] = cols[split:]
+        chunk = max(1, BLOCK_BYTES // (train_codes.itemsize * n_train))
+        for lo in range(0, todo.size, chunk):
+            pairs = todo[lo:lo + chunk]
+            codes = train_codes[owners[pairs]]
+            codes ^= test_codes[owners[pairs], rows[pairs], None]
+            pair_neighbors[pairs] = _nearest_keys(np.bitwise_count(codes).astype(dtype),
+                                                  k, shift)
         neighbors[gated] = pair_neighbors[inverse].reshape(-1, n_test, k)
-        yield 0, n_test, neighbors.reshape(-1, k)
+        # every test row of each skipped mask, one block of test rows at a time
+        skipped = np.flatnonzero(~gated)
+        if skipped.size:
+            per = max(1, min(n_test, BLOCK_BYTES // (dtype.itemsize * n_train * n)))
+            # word-major (words, rows): xor[w] below is one contiguous tile per word
+            test_words, train_words = _pack(self.test_x).T, _pack(self.train_x).T
+            mask_words = _pack(matrix[skipped])
+            buf = np.empty(skipped.size * per * n_train, dtype=dtype)
+            for lo in range(0, n_test, per):
+                hi = min(lo + per, n_test)
+                xor = np.bitwise_xor(test_words[:, lo:hi, None], train_words[:, None, :])
+                keys = buf[:skipped.size * (hi - lo) * n_train].reshape(
+                    skipped.size, hi - lo, n_train)
+                _bit_keys(keys, xor, mask_words)
+                neighbors[skipped, lo:hi] = _nearest_keys(
+                    keys.reshape(-1, n_train), k, shift).reshape(skipped.size, hi - lo, k)
+        return neighbors
 
     def evaluate_all(self, masks) -> list[float]:
         """Fitness of each mask, in order; the batch form optimizers call."""

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -271,11 +272,19 @@ def _keyed_rows(evaluator, masks):
 
 
 def _key_blocks(evaluator, masks, sizes):
-    """The (pairs, n_train) key matrix of each block of test rows that keys a pair."""
-    bounds = np.cumsum([0, *sizes])
-    rows = np.array([row for _, row in _keyed_rows(evaluator, masks)], dtype=np.int64)
-    counts = [np.count_nonzero((rows >= lo) & (rows < hi)) for lo, hi in zip(bounds, bounds[1:])]
-    return [(c, len(evaluator.train_y)) for c in counts if c]
+    """The (pairs, n_train) shape of each matrix that the bit path ranks by keys.
+
+    The gated pass comes first: its keyed pairs, in chunks of as many pairs
+    as BLOCK_BYTES holds int64 train codes for. The skipped pass follows with
+    one matrix per block of test rows, sizes giving the blocks' rows, holding
+    those rows of every skipped mask.
+    """
+    n_train = len(evaluator.train_y)
+    gated = sum(_gated(evaluator, masks[i]) for i, _ in _keyed_rows(evaluator, masks))
+    chunk = max(1, fitness.BLOCK_BYTES // (8 * n_train))
+    skipped = sum(not _gated(evaluator, m) for m in masks)
+    return [(min(chunk, gated - lo), n_train) for lo in range(0, gated, chunk)] + \
+        [(skipped * r, n_train) for r in sizes if skipped]
 
 
 def _zero_seeded_distances(evaluator, mask):
@@ -382,14 +391,14 @@ def test_bit_path_matches_float_path(config, monkeypatch):
             for name in ("_nearest_and_gap", "_nearest_keys"):
                 mp.setattr(fitness, name, spy(getattr(fitness, name)))
             got = evaluator.evaluate_all(batch)
-        if path == "float":
-            assert blocks == [(len(uncached) * r, len(evaluator.train_y)) for r in sizes]
-        else:  # only the keyed pairs, and only blocks that hold one
-            assert blocks == _key_blocks(evaluator, list(uncached.values()), sizes)
-            # cells resolve some pairs, on both sides of the gate
-            gated = [_gated(evaluator, m) for m in uncached.values()]
-            assert any(gated) and not all(gated)
-            assert sum(n for n, _ in blocks) < len(uncached) * len(evaluator.test_y)
+            if path == "float":
+                assert blocks == [(len(uncached) * r, len(evaluator.train_y)) for r in sizes]
+            else:  # only the keyed pairs: the gated ones, then each skipped block
+                assert blocks == _key_blocks(evaluator, list(uncached.values()), sizes)
+                # cells resolve some pairs, on both sides of the gate
+                gated = [_gated(evaluator, m) for m in uncached.values()]
+                assert any(gated) and not all(gated)
+                assert sum(n for n, _ in blocks) < len(uncached) * len(evaluator.test_y)
         outputs[path] = got, [evaluator.error_and_fitness(m) for m in masks]
     assert outputs["bit"] == outputs["float"]
 
@@ -411,50 +420,100 @@ def test_bit_keys_decode_to_float_distances(kind, monkeypatch):
     n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
     k = evaluator.params.k_neighbors
     shift = (n_train - 1).bit_length()
-    train_words = fitness._pack(evaluator.train_x).T
+    gated = [i for i, mask in enumerate(masks) if _gated(evaluator, mask)]
+    assert gated and len(gated) < len(masks)  # both passes run
     mask_of = {fitness._pack(m[None])[0].tobytes(): i for i, m in enumerate(masks)}
-    row_of = {}  # packed test row -> its lowest index; equal rows have equal distances
-    for row, words in enumerate(fitness._pack(evaluator.test_x)):
-        row_of.setdefault(words.tobytes(), row)
-    keyed, blocks = [], []
-    real_keys, real_blocks = fitness._bit_keys, FitnessEvaluator._bit_blocks
+    # (mask, test row) of each distance row not yet ranked, oldest first
+    pending, keyed, codes, found = [], [], [], []
+    skipped_rows = 0  # test rows that the skipped pass has keyed
+    real_cells, real_keys, real_nearest = fitness._cells, fitness._bit_keys, fitness._nearest_keys
+    real_neighbors = FitnessEvaluator._bit_neighbors
 
-    def spy_keys(keys, runs, xor, shift):  # each key row's (mask, test row) and keys
-        real_keys(keys, runs, xor, shift)
-        pairs = [(mask_of[words.tobytes()], row_of[(xor[:, r, 0] ^ train_words[:, 0]).tobytes()])
-                 for words, picked in runs
-                 for r in (range(xor.shape[1]) if picked is None else picked)]
-        keyed.extend(zip(pairs, keys.copy()))
+    def spy_cells(test_codes, train_codes, k):  # the gated pass: codes and keyed pairs
+        codes.append((test_codes.copy(), train_codes.copy()))
+        owners, rows, inverse, neighbors, full = real_cells(test_codes, train_codes, k)
+        pending.extend((gated[o], r) for o, r in zip(owners[~full], rows[~full]))
+        return owners, rows, inverse, neighbors, full
 
-    def spy_blocks(self, matrix):
-        for block in real_blocks(self, matrix):
-            blocks.append(block)
-            yield block
+    def spy_keys(distances, xor, mask_words):  # the skipped pass: one block of rows
+        nonlocal skipped_rows
+        real_keys(distances, xor, mask_words)
+        lo, skipped_rows = skipped_rows, skipped_rows + xor.shape[1]
+        pending.extend((mask_of[words.tobytes()], row) for words in mask_words
+                       for row in range(lo, skipped_rows))
 
+    def spy_nearest(distances, k, shift):  # ranks the oldest pending rows
+        before = distances.copy()
+        cols = real_nearest(distances, k, shift)
+        keyed.extend(zip(pending[:len(before)], before, distances.copy(), cols))
+        del pending[:len(before)]
+        return cols
+
+    def spy_neighbors(self, matrix):
+        found.append(real_neighbors(self, matrix))
+        return found[-1]
+
+    monkeypatch.setattr(fitness, "_cells", spy_cells)
     monkeypatch.setattr(fitness, "_bit_keys", spy_keys)
-    monkeypatch.setattr(FitnessEvaluator, "_bit_blocks", spy_blocks)
-    # blocks of 7 test rows of 2-byte keys
+    monkeypatch.setattr(fitness, "_nearest_keys", spy_nearest)
+    monkeypatch.setattr(FitnessEvaluator, "_bit_neighbors", spy_neighbors)
+    # blocks of 7 test rows of 2-byte keys; chunks of 7 * len(masks) / 4
+    # gated pairs of 8-byte codes
     monkeypatch.setattr(fitness, "BLOCK_BYTES", 2 * n_train * len(masks) * 7)
     evaluator.evaluate_all(masks)
     want = [_zero_seeded_distances(evaluator, mask) for mask in masks]
-    assert len({pair for pair, _ in keyed}) == len(keyed) == len(_keyed_rows(evaluator, masks))
-    for (i, row), key in keyed:
-        assert np.array_equal(key >> shift, want[i][row])
-        assert np.array_equal(key & ((1 << shift) - 1), np.arange(n_train))
+    # a gated mask's code distance, popcount(test code ^ train code), is the
+    # distance for every (test row, train row)
+    (test_codes, train_codes), = codes
+    distances = np.bitwise_count(test_codes[:, :, None] ^ train_codes[:, None, :])
+    for i, got in zip(gated, distances):
+        assert np.array_equal(got, want[i])
+    # the keyed pairs are the reference's, each ranked once, and each ranked
+    # the keys distance << shift | train index, but for its k - 1 first
+    # neighbors, which were taken
+    assert skipped_rows == n_test and not pending
+    assert sorted(pair for pair, *_ in keyed) == sorted(_keyed_rows(evaluator, masks))
+    top = np.iinfo(evaluator._key_dtype).max
+    for (i, row), before, keys, cols in keyed:
+        assert np.array_equal(before, want[i][row])
+        free = np.ones(n_train, dtype=bool)
+        free[cols[:-1]] = False
+        assert np.all(keys[~free] == top)
+        assert np.array_equal(keys[free] >> shift, want[i][row][free])
+        assert np.array_equal(keys[free] & ((1 << shift) - 1), np.flatnonzero(free))
     # every pair's neighbors, keyed or taken from its cell, are the float path's
-    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, n_test)]
-    neighbors = blocks[0][2].reshape(len(masks), n_test, k)
+    neighbors, = found
+    assert neighbors.shape == (len(masks), n_test, k)
     for mask, got, distances in zip(masks, neighbors, want):
         assert np.array_equal(got, fitness._nearest_indices(distances.copy(), k))
     # a pair that no key row stands for was resolved by its cell: k train rows
     # at distance 0
-    stood_for = {(i, _projections(evaluator.test_x, masks[i])[row]) for (i, row), _ in keyed}
+    stood_for = {(i, _projections(evaluator.test_x, masks[i])[row]) for (i, row), *_ in keyed}
     celled = [(i, row) for i, mask in enumerate(masks)
               for row, code in enumerate(_projections(evaluator.test_x, mask))
               if (i, code) not in stood_for]
     assert celled
     for i, row in celled:
         assert not want[i][row, neighbors[i, row]].any()
+
+
+def test_gate_takes_masks_of_1024_features_or_more():
+    # 2**s overflows float64 from s = 1024; the gate computes no power of two
+    dataset = generate_m_of_n(3, 2, 1030, 60, RngStream(3))
+    evaluator, _ = make_evaluator(dataset, seed=4)
+    assert evaluator._key_dtype is not None
+    d = dataset.n_features
+    gated = np.zeros(d, dtype=np.uint8)
+    gated[:2] = 1
+    masks = [np.ones(d, dtype=np.uint8), gated, *_random_masks(d, 2, seed=5)]
+    assert _gated(evaluator, gated) and not _gated(evaluator, masks[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluator.evaluate_all(masks)
+    for mask in masks:
+        assert evaluator.error_and_fitness(mask)[0] == error_rate(
+            evaluator.train_x, evaluator.train_y, evaluator.test_x, evaluator.test_y,
+            evaluator.params.k_neighbors, mask)
 
 
 @st.composite

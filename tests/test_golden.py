@@ -39,8 +39,9 @@ CASES = [(data, algo) for data in DATASETS for algo in ("fsro", "ga", "bpso")]
 # BLOCK_BYTES per over-budget mode. With 48 (m-of-n, 2-byte keys of the bit
 # path) and 57 (real, 8-byte screened distances) training rows, 1 KB holds at
 # most 10 and 2 test rows' buffers, fewer than the 12 and 15 test rows, so
-# every batch screens, or ranks the keys it needs, in two blocks or more; 0
-# gives one test row per block.
+# every batch screens, or keys the masks its gate skips, in two blocks or
+# more, and the bit path keys its gated pairs two at a time (48 int64 train
+# codes each); 0 gives one test row, or one gated pair, per block.
 OVER_BUDGET_BYTES = {"over_budget": 1_000, "over_budget_chunk1": 0}
 
 
