@@ -78,7 +78,11 @@ _worker_inputs: tuple | None = None
 
 def _start_worker(blas_threads: int, inputs: tuple) -> None:
     global _worker_inputs
-    blas.set_threads(blas_threads)
+    # a forked worker inherits the cap; a spawned or forkserver one starts
+    # at OpenBLAS's default. Setting the cap again in a forked worker would
+    # restart OpenBLAS's thread pool at its full size.
+    if blas.threads() != blas_threads:
+        blas.set_threads(blas_threads)
     _worker_inputs = inputs
 
 
@@ -99,10 +103,12 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     """M independent runs with seeds base_seed..base_seed+M-1, plus the summary.
 
     The runs use a pool of min(workers, m_runs) processes, or none for one.
-    Each pool worker receives the run inputs once, at start, and caps numpy's
+    Each pool worker receives the run inputs once, at start, and runs numpy's
     BLAS at its share of the CPUs' threads, max(1, cpus // pool size), so
-    the workers' matrix products do not contend for the CPUs. A serial run
-    keeps every BLAS thread.
+    the workers' matrix products do not contend for the CPUs. This process
+    sets that cap before the pool starts, so forked workers inherit it, and
+    restores its own count when the pool is done; spawned and forkserver
+    workers set the cap themselves. A serial run keeps every BLAS thread.
     """
     if m_runs < 1:
         raise ConfigError(f"need at least one run, got {m_runs}")
@@ -117,9 +123,15 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
         from concurrent.futures import ProcessPoolExecutor  # kept off one-worker start-up
 
         inputs = (algorithm, dataset, algo_params, fit_params)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(max(1, _cpu_count() // workers), inputs)) as pool:
-            results = list(pool.map(_run_seed, seeds))
+        share, own = max(1, _cpu_count() // workers), blas.threads()
+        blas.set_threads(share)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                     initargs=(share, inputs)) as pool:
+                results = list(pool.map(_run_seed, seeds))
+        finally:
+            if own is not None:
+                blas.set_threads(own)
     else:
         results = [run_single(algorithm, dataset, algo_params, fit_params, seed)
                    for seed in seeds]

@@ -1,8 +1,10 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -106,23 +108,40 @@ def _outputs(results):
 def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     sizes = []
     caps = []
+    # a stand-in for numpy's BLAS thread count, above any pool's share
+    own = _cpus() + 1
+    count = [own]
 
     def pool(max_workers, initializer, initargs):  # records the size, runs jobs in threads
         sizes.append(max_workers)
         return ThreadPoolExecutor(max_workers, initializer=initializer, initargs=initargs)
 
+    def set_threads(n):
+        caps.append(n)
+        count[0] = n
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    # the worker set-up runs in this process's threads: record its BLAS cap
-    # instead of applying it, and put the input slot back afterwards
-    monkeypatch.setattr(blas, "set_threads", caps.append)
+    # the worker set-up runs in this process's threads, which see its BLAS
+    # count as forked workers do: record each cap on the stand-in instead
+    # of applying it, and put the input slot back afterwards
+    monkeypatch.setattr(blas, "threads", lambda: count[0])
+    monkeypatch.setattr(blas, "set_threads", set_threads)
     monkeypatch.setattr(bench, "_worker_inputs", ("not", "for", "serial", "runs"))
     serial, _ = _tiny_experiment(3, 1)
+    assert caps == []  # a serial run keeps every BLAS thread
     pooled, _ = _tiny_experiment(3, 8)
     assert sizes == [3]
-    assert caps and set(caps) == {max(1, _cpus() // 3)}
+    # the share is set once, before the pool starts, so the workers inherit
+    # it and set nothing; then this process gets its own count back
+    share = max(1, _cpus() // 3)
+    assert caps == [share, own] and count == [own]
     assert [r.best_fitness for r in pooled] == [r.best_fitness for r in serial]
     _tiny_experiment(1, 8)  # one run takes no pool
     assert sizes == [3]
+    # a worker that starts at another count, as a spawned one does, sets it
+    caps.clear()
+    bench._start_worker(share, ("inputs",))
+    assert caps == [share] and bench._worker_inputs == ("inputs",)
 
 
 def test_importing_the_cli_leaves_the_process_pool_out():
@@ -134,10 +153,18 @@ def test_importing_the_cli_leaves_the_process_pool_out():
     assert out.stdout.strip() == "False"
 
 
+def _os_threads():
+    """This process's OS thread count, from /proc on Linux; None elsewhere."""
+    if not sys.platform.startswith("linux"):
+        return None
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+
+
 def _report_blas_threads(real_run_single):
     def run_single(*args):  # runs in a pool worker
         result = real_run_single(*args)
-        return replace(result, dataset=(os.getpid(), blas.threads()))
+        return replace(result, dataset=(os.getpid(), blas.threads(), _os_threads()))
 
     return run_single
 
@@ -151,9 +178,61 @@ def test_pool_workers_share_the_blas_threads(monkeypatch):
     monkeypatch.setattr(bench, "run_single", _report_blas_threads(bench.run_single))
     results, _ = _tiny_experiment(4, 2)
     readings = [r.dataset for r in results]
-    assert all(pid != os.getpid() for pid, _ in readings)
-    assert {threads for _, threads in readings} == {max(1, _cpus() // 2)}
+    share = max(1, _cpus() // 2)
+    assert all(pid != os.getpid() for pid, *_ in readings)
+    assert {threads for _, threads, _ in readings} == {share}
+    # OpenBLAS runs its BLAS threads as OS threads, the caller's included,
+    # so a worker runs at most one OS thread per thread of its cap. A
+    # thread pool restarted at full size breaks this, and the getter cannot
+    # see it.
+    if _os_threads() is not None:
+        assert all(os_threads <= share for *_, os_threads in readings)
     assert blas.threads() == before  # the parent keeps its own count
+
+
+# Runs a tiny experiment serially and in a pool of two spawned workers, and
+# prints whether the outputs match, with the BLAS count of the workers, of
+# this process before and after, and the workers' share.
+SPAWNED_EXPERIMENT = textwrap.dedent("""
+    import concurrent.futures, json, multiprocessing
+    from fsro import FitnessParams, RngStream, blas, generate_m_of_n
+    from fsro.baselines import GaParams
+    from fsro.bench import _cpu_count, run_experiment
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables):  # also reads each worker's BLAS count
+            results = list(super().map(fn, *iterables))
+            counts.extend(self.submit(blas.threads).result() for _ in range(4))
+            return results
+
+    def outputs(results):
+        return [(r.seed, r.best_fitness, r.best_mask.tolist(), r.test_accuracy,
+                 r.selected_count, r.trace) for r in results]
+
+    multiprocessing.set_start_method("spawn")
+    concurrent.futures.ProcessPoolExecutor = Pool
+    counts, before = [], blas.threads()
+    dataset = generate_m_of_n(2, 1, 2, 40, RngStream(3))
+    args = ("ga", dataset, GaParams(population_size=4, max_iterations=1), FitnessParams(), 2, 7)
+    serial, _ = run_experiment(*args, workers=1)
+    pooled, _ = run_experiment(*args, workers=2)
+    print(json.dumps({"same": outputs(serial) == outputs(pooled), "counts": counts,
+                      "before": before, "after": blas.threads(),
+                      "share": max(1, _cpu_count() // 2)}))
+""")
+
+
+def test_spawned_workers_set_their_own_cap_and_give_the_serial_results():
+    # the start method of macOS, and forkserver's case on Linux from Python
+    # 3.14: a worker starts at OpenBLAS's default and sets its share itself
+    src = os.path.dirname(os.path.dirname(bench.__file__))
+    out = subprocess.run([sys.executable, "-c", SPAWNED_EXPERIMENT], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    report = json.loads(out.stdout)
+    assert report["same"]
+    assert report["after"] == report["before"]
+    if report["before"] is not None:
+        assert set(report["counts"]) == {report["share"]}
 
 
 def test_pool_without_openblas_gives_the_serial_results(monkeypatch):
