@@ -78,9 +78,9 @@ _worker_inputs: tuple | None = None
 
 def _start_worker(blas_threads: int, inputs: tuple) -> None:
     global _worker_inputs
-    # a forked worker inherits the cap; a spawned or forkserver one starts
-    # at OpenBLAS's default. Setting the cap again in a forked worker would
-    # restart OpenBLAS's thread pool at its full size.
+    # a forked worker inherits the cap, and a spawned or forkserver one
+    # loads OpenBLAS at it from OPENBLAS_NUM_THREADS. Setting the cap again
+    # in a forked worker would restart OpenBLAS's thread pool at full size.
     if blas.threads() != blas_threads:
         blas.set_threads(blas_threads)
     _worker_inputs = inputs
@@ -106,9 +106,11 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     Each pool worker receives the run inputs once, at start, and runs numpy's
     BLAS at its share of the CPUs' threads, max(1, cpus // pool size), so
     the workers' matrix products do not contend for the CPUs. This process
-    sets that cap before the pool starts, so forked workers inherit it, and
-    restores its own count when the pool is done; spawned and forkserver
-    workers set the cap themselves. A serial run keeps every BLAS thread.
+    sets that cap, and OPENBLAS_NUM_THREADS to it, before the pool starts,
+    and restores both when the pool is done. Forked workers inherit the cap;
+    spawned and forkserver workers load OpenBLAS at it from the variable,
+    and one that starts at another count (a forkserver started earlier,
+    say) sets the cap itself. A serial run keeps every BLAS thread.
     """
     if m_runs < 1:
         raise ConfigError(f"need at least one run, got {m_runs}")
@@ -124,7 +126,11 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
 
         inputs = (algorithm, dataset, algo_params, fit_params)
         share, own = max(1, _cpu_count() // workers), blas.threads()
+        own_variable = os.environ.get("OPENBLAS_NUM_THREADS")
         blas.set_threads(share)
+        # a capped pool keeps the threads it started with: a worker that
+        # loaded OpenBLAS at its default would run them all
+        os.environ["OPENBLAS_NUM_THREADS"] = str(share)
         try:
             with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                      initargs=(share, inputs)) as pool:
@@ -132,6 +138,10 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
         finally:
             if own is not None:
                 blas.set_threads(own)
+            if own_variable is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = own_variable
     else:
         results = [run_single(algorithm, dataset, algo_params, fit_params, seed)
                    for seed in seeds]

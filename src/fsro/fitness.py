@@ -30,27 +30,22 @@ The evaluator finds them by one of two paths, fixed per split:
   computes b - 2 * Q for every (mask, test row, train row); a is the same
   for every train row of a (mask, test row) pair, so leaving it out changes
   no rank and no gap. a and b are one matrix product each per batch. Q
-  comes from one of two screens, fixed per split by its shape
-  (`SELECTED_MIN`): the column screen runs one GEMM per mask of its
-  selected test rows against its selected train rows, so its cost falls
-  with the mask's size; the batched screen, for splits too small for the
-  gathers to pay, runs one GEMM of every mask's masked test rows against
-  all train rows. `_nearest_and_gap` takes the k argmin passes over the
-  screened values and returns the gap between each pair's (k+1)-th and
-  k-th smallest.
+  comes from one GEMM per mask of its selected test rows against its
+  selected train rows, so a mask's screen costs in proportion to its size.
+  `_nearest_and_gap` takes the k argmin passes over the screened values
+  and returns the gap between each pair's (k+1)-th and k-th smallest.
 - Why the screen keeps the bits. Error bounds for a sum of products hold
   for any summation order and for FMA, and every term here is at most
   x_f**2 + y_f**2 in size. So the screen (as a + screened) and the exact
   loop are each within about 2 * s * 2**-53 * (a + b) of the true
-  distance, s being the mask's feature count. An unselected feature's
-  product is 0, so both screens sum the same nonzero products, in other
-  orders. `_screen_tolerance` returns eps = 16 * (s + 4) * 2**-53 * (a +
-  max b), a bound on |screened - exact| with a wide margin. Where the gap
-  exceeds 2 * eps, every screened neighbor's exact distance is below every
-  other train row's, so the screened set is the exact set and no tie rule
-  is needed. Every other pair, exact ties included, is rescored by
-  `_recheck` with `_accumulate` and `_nearest_indices`, which apply the tie
-  rule.
+  distance, s being the mask's feature count; the screen sums only the
+  mask's selected products. `_screen_tolerance` returns eps = 16 * (s + 4)
+  * 2**-53 * (a + max b), a bound on |screened - exact| with a wide
+  margin. Where the gap exceeds 2 * eps, every screened neighbor's exact
+  distance is below every other train row's, so the screened set is the
+  exact set and no tie rule is needed. Every other pair, exact ties
+  included, is rescored by `_recheck` with `_accumulate` and
+  `_nearest_indices`, which apply the tie rule.
 - The bit path serves splits whose normalized values are all exactly 0.0
   or 1.0 (`_is_binary`). There each squared difference is 0 or 1, so a
   mask's distance is the number of selected features on which the rows
@@ -124,36 +119,13 @@ def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
 
 
 # Largest buffer that one block of test rows may use, about one core's L2
-# cache: the column screen's (rows, n_train) float64 plane of one mask, the
-# batched screen's (masks, rows, n_train) distances and (masks, rows,
-# n_features) masked test values, and the recheck's (masks, rows, n_train)
-# exact distances each fit, as do the bit path's (masks, rows, n_train) keys,
-# and the gathered (pairs, n_train) int64 train codes of one chunk of its
-# gated pairs.
+# cache: the screen's (rows, n_train) float64 plane of one mask, the recheck's
+# (masks, rows, n_train) exact distances, the bit path's (masks, rows,
+# n_train) keys, and the gathered (pairs, n_train) int64 train codes of one
+# chunk of its gated pairs each fit. One buffer falls outside it: the screen's
+# gather of a mask's selected train rows, (selected, n_train) float64, at
+# most the size of the split's own train rows.
 BLOCK_BYTES = 2_000_000
-
-# The float path screens each mask over its selected columns when the split's
-# n_test * n_train / (n_test + n_train) reaches this, and every mask over all
-# columns in one batched GEMM below it. The quantity is a mask's screen
-# multiply-adds per value that its column gather copies. One 40-mask batch at
-# mask density 0.5 on madelon-style splits, batched -> column screen in ms,
-# medians of 9-15 alternations in one process on a 2-vCPU x86_64 VM:
-#
-#   split (instances x features)  quantity  1 BLAS thread  2 BLAS threads
-#   72 x 7020                         11.3       37 -> 45       28 -> 45
-#   100 x 5000                        16         39 -> 41       35 -> 49
-#   150 x 3400                        24         58 -> 44       39 -> 40
-#   200 x 2500                        32         50 -> 47       55 -> 56
-#   250 x 2000                        40         54 -> 48       40 -> 44
-#   300 x 1700                        48         62 -> 51       48 -> 48
-#   450 x 1100                        72        100 -> 66       52 -> 48
-#   600 x 500                         96         61 -> 40       44 -> 40
-#   1000 x 500                       160        204 -> 129     106 -> 78
-#
-# Gathers and small GEMMs thread poorly, so the 2-thread column sets the
-# break-even. Sparser masks favour the column screen: at density 0.2 it takes
-# 30 -> 19 and 24 -> 19 ms even on 72 x 7020.
-SELECTED_MIN = 64
 
 
 def _is_binary(*rows: np.ndarray) -> bool:
@@ -371,22 +343,20 @@ class FitnessEvaluator:
     (n_features, n_test) and (n_features, n_train) row arrays, of which
     `test_x` and `train_x` are transposed views, not second copies. It also
     holds the labels, the neighbor path chosen once by `_is_binary`
-    (`_key_dtype` is None on the float path), the float screen chosen once
-    by `SELECTED_MIN`, and the mask cache, a plain dict of (error, fitness)
-    by mask bytes. How each path finds the exact neighbors is in the module
-    docstring.
+    (`_key_dtype` is None on the float path), the bit path's packed rows and
+    the mask cache, a plain dict of (error, fitness) by mask bytes. How each
+    path finds the exact neighbors is in the module docstring.
 
     - `evaluate_all(masks)` is the optimizers' entry point: it scores a
       generation. Cached and duplicate masks are dropped, and `_score`
       votes once over the (masks, n_test, k) neighbors of the rest. The
-      float path's column screen runs each mask a plane of test rows at a
-      time and its batched screen every mask a block of test rows at a
-      time; the recheck then serves every flagged mask a block of test rows
-      at a time. The bit path keys its gated masks' pairs a chunk of pairs
-      at a time, and its skipped masks one block of test rows at a time. A
-      plane, block or chunk keeps each buffer within BLOCK_BYTES (at least
-      one row or pair). No buffer survives a batch; the bit path packs the
-      rows into words once, at construction.
+      float path screens each mask a plane of test rows at a time, then
+      rechecks every flagged mask a block of test rows at a time. The bit
+      path keys its gated masks' pairs a chunk of pairs at a time, and its
+      skipped masks one block of test rows at a time. A plane, block or
+      chunk keeps each buffer within BLOCK_BYTES (at least one row or
+      pair), but for the screen's gathered train rows. No buffer survives a
+      batch; the bit path packs the rows into words once, at construction.
     - `__call__(mask)` gives one mask's fitness. Inside `evaluate_all` it is
       called once per mask, and its first cache miss scores the whole
       pending batch, so wrapping `__call__` observes every evaluation and its
@@ -415,13 +385,10 @@ class FitnessEvaluator:
             )
         self.n_features = dataset.n_features
         self.n_classes = dataset.n_classes
-        n_test, n_train = len(self.test_y), len(self.train_y)
-        # the float path's screen, chosen by the split's shape
-        self._select_columns = n_test * n_train >= SELECTED_MIN * (n_test + n_train)
         # the bit path's key dtype and packed rows, or None for the float path
         self._key_dtype = self._test_words = self._train_words = None
         if _is_binary(self._train_rows, self._test_rows):
-            self._key_dtype = _key_dtype(n_train, self.n_features)
+            self._key_dtype = _key_dtype(len(self.train_y), self.n_features)
             # word-major (words, rows): xor[w] in `_bit_neighbors` is one
             # contiguous tile per word
             self._test_words, self._train_words = _pack(self.test_x).T, _pack(self.train_x).T
@@ -453,7 +420,7 @@ class FitnessEvaluator:
                                                    self.params.alpha))
 
     def _float_neighbors(self, matrix: np.ndarray) -> np.ndarray:
-        """(masks, n_test, k) neighbors: GEMM screen, exact recheck per block of test rows."""
+        """(masks, n_test, k) neighbors: per-mask GEMM screen, exact recheck per block."""
         n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
         k = self.params.k_neighbors
         # per (mask, row): sums of squares over the mask, a of the test rows
@@ -462,15 +429,23 @@ class FitnessEvaluator:
         b = matrix @ np.square(self._train_rows)
         neighbors = np.empty((n, n_test, k), dtype=np.int64)
         gaps = np.empty((n, n_test))
-        screens = self._column_screens if self._select_columns else self._batched_screens
-        for owners, lo, screened in screens(matrix):
-            # b - 2Q: the distance less a, which no train row's rank or gap
-            # depends on
-            screened += b[owners, None, :]
-            m, rows = screened.shape[:2]
-            cols, gap = _nearest_and_gap(screened.reshape(-1, n_train), k)
-            neighbors[owners, lo:lo + rows] = cols.reshape(m, rows, k)
-            gaps[owners, lo:lo + rows] = gap.reshape(m, rows)
+        # a plane of as many test rows as fit in BLOCK_BYTES, reused
+        rows = max(1, min(n_test, BLOCK_BYTES // (8 * n_train)))
+        buf = np.empty(rows * n_train)
+        for i, mask in enumerate(matrix):
+            cols = np.flatnonzero(mask)
+            train = self._train_rows[cols]
+            for lo in range(0, n_test, rows):
+                hi = min(lo + rows, n_test)
+                # scaling by a power of two is exact, so the GEMM gives -2 * Q
+                test = self._test_rows[cols, lo:hi]
+                test *= -2.0
+                screened = buf[:(hi - lo) * n_train].reshape(hi - lo, n_train)
+                np.matmul(test.T, train, out=screened)
+                # b - 2Q: the distance less a, which no train row's rank or
+                # gap depends on
+                screened += b[i]
+                neighbors[i, lo:hi], gaps[i, lo:hi] = _nearest_and_gap(screened, k)
         flagged = gaps <= 2.0 * _screen_tolerance(matrix.sum(axis=1)[:, None], a,
                                                   b.max(axis=1)[:, None])
         block = max(1, min(n_test, BLOCK_BYTES // (8 * n * n_train)))
@@ -478,51 +453,6 @@ class FitnessEvaluator:
             _recheck(neighbors[:, lo:lo + block], flagged[:, lo:lo + block], matrix,
                      self._test_rows[:, lo:lo + block], self._train_rows)
         return neighbors
-
-    def _column_screens(self, matrix: np.ndarray):
-        """Yield each mask's -2 * Q, one GEMM over its selected columns per plane.
-
-        Items are (masks, first test row, (1, rows, n_train) plane), a plane
-        of as many test rows as fit in BLOCK_BYTES. The plane is reused. A
-        mask's gathered rows, at most the split's own size, live while its
-        planes run.
-        """
-        n_test, n_train = len(self.test_y), len(self.train_y)
-        rows = max(1, min(n_test, BLOCK_BYTES // (8 * n_train)))
-        buf = np.empty(rows * n_train)
-        for i, mask in enumerate(matrix):
-            cols = np.flatnonzero(mask)
-            # scaling by a power of two is exact, so the GEMM gives -2 * Q
-            test = self._test_rows[cols]
-            test *= -2.0
-            train = self._train_rows[cols]
-            for lo in range(0, n_test, rows):
-                screened = buf[:min(rows, n_test - lo) * n_train].reshape(1, -1, n_train)
-                np.matmul(test[:, lo:lo + rows].T, train, out=screened[0])
-                yield slice(i, i + 1), lo, screened
-
-    def _batched_screens(self, matrix: np.ndarray):
-        """Yield every mask's -2 * Q, one GEMM of masked test rows over all columns per block.
-
-        Items are (masks, first test row, (masks, rows, n_train) block), a
-        block of as many test rows as fit in BLOCK_BYTES. The block is reused.
-        """
-        n, n_test, n_train, d = len(matrix), len(self.test_y), len(self.train_y), self.n_features
-        # scaling by a power of two is exact, so the GEMM of the masked test
-        # rows gives -2 * Q
-        weights = -2.0 * matrix
-        rows = max(1, min(n_test, BLOCK_BYTES // (8 * n * max(n_train, d))))
-        buf, masked_buf = np.empty(n * rows * n_train), np.empty(n * rows * d)
-        for lo in range(0, n_test, rows):
-            hi = min(lo + rows, n_test)
-            # fresh contiguous views, so the short last block still flattens
-            # to (mask, row) pairs without a copy
-            masked = masked_buf[:n * (hi - lo) * d].reshape(n, hi - lo, d)
-            np.multiply(weights[:, None, :], self.test_x[lo:hi], out=masked)
-            screened = buf[:n * (hi - lo) * n_train].reshape(n, hi - lo, n_train)
-            np.matmul(masked.reshape(-1, d), self._train_rows,
-                      out=screened.reshape(-1, n_train))
-            yield slice(None), lo, screened
 
     def _bit_neighbors(self, matrix: np.ndarray) -> np.ndarray:
         """(masks, n_test, k) neighbors in two passes: gated masks, then skipped ones."""

@@ -108,12 +108,14 @@ def _outputs(results):
 def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     sizes = []
     caps = []
+    variables = []  # OPENBLAS_NUM_THREADS as each pool starts
     # a stand-in for numpy's BLAS thread count, above any pool's share
     own = _cpus() + 1
     count = [own]
 
     def pool(max_workers, initializer, initargs):  # records the size, runs jobs in threads
         sizes.append(max_workers)
+        variables.append(os.environ.get("OPENBLAS_NUM_THREADS"))
         return ThreadPoolExecutor(max_workers, initializer=initializer, initargs=initargs)
 
     def set_threads(n):
@@ -127,18 +129,27 @@ def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     monkeypatch.setattr(blas, "threads", lambda: count[0])
     monkeypatch.setattr(blas, "set_threads", set_threads)
     monkeypatch.setattr(bench, "_worker_inputs", ("not", "for", "serial", "runs"))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
     serial, _ = _tiny_experiment(3, 1)
     assert caps == []  # a serial run keeps every BLAS thread
     pooled, _ = _tiny_experiment(3, 8)
     assert sizes == [3]
     # the share is set once, before the pool starts, so the workers inherit
-    # it and set nothing; then this process gets its own count back
+    # it and set nothing, and a worker that loads OpenBLAS afresh reads it
+    # from the variable; then this process gets its own count and variable
+    # back
     share = max(1, _cpus() // 3)
     assert caps == [share, own] and count == [own]
+    assert variables == [str(share)] and os.environ["OPENBLAS_NUM_THREADS"] == "7"
     assert [r.best_fitness for r in pooled] == [r.best_fitness for r in serial]
     _tiny_experiment(1, 8)  # one run takes no pool
     assert sizes == [3]
-    # a worker that starts at another count, as a spawned one does, sets it
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    _tiny_experiment(2, 2)
+    assert variables[-1] == str(max(1, _cpus() // 2))
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    # a worker that starts at another count, as one forked from a server
+    # started before the variable was set would, sets it
     caps.clear()
     bench._start_worker(share, ("inputs",))
     assert caps == [share] and bench._worker_inputs == ("inputs",)
@@ -192,17 +203,27 @@ def test_pool_workers_share_the_blas_threads(monkeypatch):
 
 # Runs a tiny experiment serially and in a pool of two spawned workers, and
 # prints whether the outputs match, with the BLAS count of the workers, of
-# this process before and after, and the workers' share.
+# this process before and after, the workers' OS thread counts (on Linux)
+# and their share.
 SPAWNED_EXPERIMENT = textwrap.dedent("""
-    import concurrent.futures, json, multiprocessing
+    import concurrent.futures, json, multiprocessing, pathlib, sys
     from fsro import FitnessParams, RngStream, blas, generate_m_of_n
     from fsro.baselines import GaParams
     from fsro.bench import _cpu_count, run_experiment
 
+    STATUS = pathlib.Path("/proc/self/status")
+
+    def os_threads(status):
+        return next(int(line.split()[1]) for line in status.splitlines()
+                    if line.startswith("Threads:"))
+
     class Pool(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables):  # also reads each worker's BLAS count
+        def map(self, fn, *iterables):  # also reads each worker's thread counts
             results = list(super().map(fn, *iterables))
             counts.extend(self.submit(blas.threads).result() for _ in range(4))
+            if sys.platform.startswith("linux"):
+                os_counts.extend(os_threads(self.submit(STATUS.read_text).result())
+                                 for _ in range(4))
             return results
 
     def outputs(results):
@@ -211,20 +232,21 @@ SPAWNED_EXPERIMENT = textwrap.dedent("""
 
     multiprocessing.set_start_method("spawn")
     concurrent.futures.ProcessPoolExecutor = Pool
-    counts, before = [], blas.threads()
+    counts, os_counts, before = [], [], blas.threads()
     dataset = generate_m_of_n(2, 1, 2, 40, RngStream(3))
     args = ("ga", dataset, GaParams(population_size=4, max_iterations=1), FitnessParams(), 2, 7)
     serial, _ = run_experiment(*args, workers=1)
     pooled, _ = run_experiment(*args, workers=2)
     print(json.dumps({"same": outputs(serial) == outputs(pooled), "counts": counts,
-                      "before": before, "after": blas.threads(),
+                      "os_counts": os_counts, "before": before, "after": blas.threads(),
                       "share": max(1, _cpu_count() // 2)}))
 """)
 
 
-def test_spawned_workers_set_their_own_cap_and_give_the_serial_results():
+def test_spawned_workers_run_their_share_and_give_the_serial_results():
     # the start method of macOS, and forkserver's case on Linux from Python
-    # 3.14: a worker starts at OpenBLAS's default and sets its share itself
+    # 3.14: a worker loads OpenBLAS afresh, at the share that
+    # OPENBLAS_NUM_THREADS names
     src = os.path.dirname(os.path.dirname(bench.__file__))
     out = subprocess.run([sys.executable, "-c", SPAWNED_EXPERIMENT], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
@@ -233,6 +255,8 @@ def test_spawned_workers_set_their_own_cap_and_give_the_serial_results():
     assert report["after"] == report["before"]
     if report["before"] is not None:
         assert set(report["counts"]) == {report["share"]}
+        # one OS thread per thread of the cap, as for forked workers
+        assert all(n <= report["share"] for n in report["os_counts"])
 
 
 def test_pool_without_openblas_gives_the_serial_results(monkeypatch):

@@ -219,13 +219,9 @@ def _set_block_rows(monkeypatch, evaluator, n_masks, config):
     Returns the block sizes, in test rows, that such a batch goes through.
     """
     n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
-    # bytes per (mask, test row) of the larger buffer: the batched screen's
-    # float64 distances or its masked test values, or the bit path's
-    # composite keys. The float kernel datasets have fewer features than
-    # train rows, so the recheck's float64 exact distances take the batched
-    # screen's blocks.
+    # bytes per (mask, test row) of a block: the recheck's float64 exact
+    # distances, or the bit path's composite keys
     if evaluator._key_dtype is None:
-        assert evaluator.n_features < n_train
         row_bytes = 8 * n_train
     else:
         row_bytes = evaluator._key_dtype.itemsize * n_train
@@ -304,53 +300,11 @@ def _force_float_path(monkeypatch):
     monkeypatch.setattr(fitness, "_is_binary", lambda *rows: False)
 
 
-# the float path's two screens: every mask over all columns in one GEMM per
-# block, or each mask over its selected columns
-SCREENS = ("batched", "columns")
-
-
-def _force_screen(monkeypatch, screen):
-    """Make evaluators built from now on run the named float screen."""
-    monkeypatch.setattr(fitness, "SELECTED_MIN", 0 if screen == "columns" else np.inf)
-
-
 def _plane_rows(evaluator):
-    """Test rows of each plane that the column screen runs per mask."""
+    """Test rows of each plane that the float screen runs per mask."""
     n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
     rows = max(1, min(n_test, fitness.BLOCK_BYTES // (8 * n_train)))
     return [min(rows, n_test - lo) for lo in range(0, n_test, rows)]
-
-
-def _screened(monkeypatch, masks):
-    """Record the screen of the next batch, of distinct uncached masks.
-
-    Returns a dict and a list that the batch fills: the dict's "screened"
-    entry becomes the (masks, n_test, n_train) b - 2Q of every pair, copied
-    before top-k consumes it, and the list gets the (masks, rows) shape of
-    each block or plane that the screen hands to top-k, in order.
-    """
-    record, shapes = {}, []
-    real_nearest = fitness._nearest_and_gap
-
-    def spy(real):
-        def screens(self, matrix):
-            n_test, n_train = len(self.test_y), len(self.train_y)
-            record["screened"] = np.full((len(matrix), n_test, n_train), np.nan)
-            for owners, lo, screened in real(self, matrix):
-                shapes.append(screened.shape[:2])
-                record["where"] = owners, lo
-                yield owners, lo, screened
-        return screens
-
-    def nearest(d, k):
-        (owners, lo), (m, rows) = record["where"], shapes[-1]
-        record["screened"][owners, lo:lo + rows] = d.reshape(m, rows, -1)
-        return real_nearest(d, k)
-
-    for name in ("_batched_screens", "_column_screens"):
-        monkeypatch.setattr(FitnessEvaluator, name, spy(getattr(FitnessEvaluator, name)))
-    monkeypatch.setattr(fitness, "_nearest_and_gap", nearest)
-    return record, shapes
 
 
 def _force_recheck(monkeypatch):
@@ -424,13 +378,12 @@ def test_bit_path_matches_float_path(config, monkeypatch):
     cached = {m.tobytes() for m in masks[::4]}
     uncached = {m.tobytes(): m for m in masks if m.tobytes() not in cached}
     outputs = {}
-    for path in (*SCREENS, "bit"):
+    for path in ("float", "bit"):
         with monkeypatch.context() as mp:
-            if path in SCREENS:
+            if path == "float":
                 _force_float_path(mp)
-                _force_screen(mp, path)
             evaluator, _ = make_evaluator(dataset, seed=4)
-            assert (evaluator._key_dtype is None) == (path in SCREENS)
+            assert (evaluator._key_dtype is None) == (path == "float")
             for mask in masks[::4]:  # cached before the batch arrives
                 evaluator(mask)
             sizes = _set_block_rows(mp, evaluator, len(uncached), config)
@@ -445,11 +398,9 @@ def test_bit_path_matches_float_path(config, monkeypatch):
             for name in ("_nearest_and_gap", "_nearest_keys"):
                 mp.setattr(fitness, name, spy(getattr(fitness, name)))
             got = evaluator.evaluate_all(batch)
-            n_train = len(evaluator.train_y)
-            if path == "batched":
-                assert blocks == [(len(uncached) * r, n_train) for r in sizes]
-            elif path == "columns":  # each mask's planes in turn
-                assert blocks == [(r, n_train) for _ in uncached for r in _plane_rows(evaluator)]
+            if path == "float":  # each mask's planes in turn
+                assert blocks == [(r, len(evaluator.train_y))
+                                  for _ in uncached for r in _plane_rows(evaluator)]
             else:  # only the keyed pairs: the gated ones, then each skipped block
                 assert blocks == _key_blocks(evaluator, list(uncached.values()), sizes)
                 # cells resolve some pairs, on both sides of the gate
@@ -457,7 +408,7 @@ def test_bit_path_matches_float_path(config, monkeypatch):
                 assert any(gated) and not all(gated)
                 assert sum(n for n, _ in blocks) < len(uncached) * len(evaluator.test_y)
         outputs[path] = got, [evaluator.error_and_fitness(m) for m in masks]
-    assert outputs["bit"] == outputs["batched"] == outputs["columns"]
+    assert outputs["bit"] == outputs["float"]
 
 
 # binary kernel datasets: one packed word per row, and two (73 features)
@@ -622,15 +573,14 @@ def test_bit_path_cells_and_keys_match_the_oracles(case, default_blocks):
     with pytest.MonkeyPatch.context() as mp:
         if not default_blocks:
             mp.setattr(fitness, "BLOCK_BYTES", 0)
-        for path in ("bit", *SCREENS):
-            if path in SCREENS:
+        for path in ("bit", "float"):
+            if path == "float":
                 _force_float_path(mp)
-                _force_screen(mp, path)
             evaluator = FitnessEvaluator(dataset, split, params)
-            assert (evaluator._key_dtype is None) == (path in SCREENS)
+            assert (evaluator._key_dtype is None) == (path == "float")
             evaluator.evaluate_all(masks)
             outputs[path] = [evaluator.error_and_fitness(m) for m in masks]
-    assert outputs["bit"] == outputs["batched"] == outputs["columns"]
+    assert outputs["bit"] == outputs["float"]
     for mask, (err, _) in zip(masks, outputs["bit"]):
         assert err == error_rate(evaluator.train_x, evaluator.train_y, evaluator.test_x,
                                  evaluator.test_y, k, mask)
@@ -737,41 +687,43 @@ def test_screen_is_within_tolerance_of_exact_distances(kind, monkeypatch):
     d = dataset.n_features
     masks = [np.ones(d, dtype=np.uint8), *_random_masks(d, 30, seed=14)]
     masks = list({m.tobytes(): m for m in masks}.values())
-    for screen in SCREENS:
-        with monkeypatch.context() as mp:
-            _force_screen(mp, screen)
-            # split seed 5 puts continuous test values on both sides of [0, 1]
-            evaluator, _ = make_evaluator(dataset, seed=5)
-            if kind == "continuous":  # test values beyond the train range
-                assert evaluator.test_x.min() < 0.0 and evaluator.test_x.max() > 1.0
-            n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
-            record, shapes = _screened(mp, masks)
-            # blocks of 7 test rows: of every mask, or planes of one mask
-            if screen == "batched":
-                mp.setattr(fitness, "BLOCK_BYTES", 8 * max(n_train, d) * len(masks) * 7)
-            else:
-                mp.setattr(fitness, "BLOCK_BYTES", 8 * n_train * 7)
-            evaluator.evaluate_all(masks)
-        masks_per_block = len(masks) if screen == "batched" else 1
-        rows = [min(7, n_test - lo) for lo in range(0, n_test, 7)]
-        assert len(rows) > 1
-        assert shapes == [(masks_per_block, r) for _ in range(len(masks) // masks_per_block)
-                          for r in rows]
-        for mask, got in zip(masks, record["screened"]):
-            cols = np.flatnonzero(mask)
-            a = np.sum(evaluator.test_x[:, cols] ** 2, axis=1)
-            b = np.sum(evaluator.train_x[:, cols] ** 2, axis=1)
-            eps = fitness._screen_tolerance(cols.size, a[:, None], b.max())
-            error = np.abs(a[:, None] + got - _zero_seeded_distances(evaluator, mask))
-            assert np.all(error <= eps)
+    # split seed 5 puts continuous test values on both sides of [0, 1]
+    evaluator, _ = make_evaluator(dataset, seed=5)
+    if kind == "continuous":  # test values beyond the train range
+        assert evaluator.test_x.min() < 0.0 and evaluator.test_x.max() > 1.0
+    n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
+    seen = []
+    real_nearest = fitness._nearest_and_gap
+
+    def spy(screened, k):  # one plane's b - 2Q, copied before top-k consumes it
+        seen.append(screened.copy())
+        return real_nearest(screened, k)
+
+    monkeypatch.setattr(fitness, "_nearest_and_gap", spy)
+    # planes of 7 test rows, each mask's in turn
+    monkeypatch.setattr(fitness, "BLOCK_BYTES", 8 * n_train * 7)
+    evaluator.evaluate_all(masks)
+    rows = [min(7, n_test - lo) for lo in range(0, n_test, 7)]
+    assert len(rows) > 1
+    assert [plane.shape for plane in seen] == [(r, n_train) for _ in masks for r in rows]
+    screened = np.concatenate(seen).reshape(len(masks), n_test, n_train)
+    for mask, got in zip(masks, screened):
+        cols = np.flatnonzero(mask)
+        a = np.sum(evaluator.test_x[:, cols] ** 2, axis=1)
+        b = np.sum(evaluator.train_x[:, cols] ** 2, axis=1)
+        eps = fitness._screen_tolerance(cols.size, a[:, None], b.max())
+        error = np.abs(a[:, None] + got - _zero_seeded_distances(evaluator, mask))
+        assert np.all(error <= eps)
 
 
-def test_column_screen_contracts_over_each_masks_selected_columns(monkeypatch):
+def test_screen_contracts_over_each_masks_selected_columns(monkeypatch):
     dataset = KERNEL_DATASETS["continuous"]()
     d = dataset.n_features
     lone = np.zeros(d, dtype=np.uint8)
     lone[4] = 1
     masks = list({m.tobytes(): m for m in _random_masks(d, 12, seed=18)}.values())
+    evaluator, _ = make_evaluator(dataset, seed=4)
+    n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
     products = []  # (left, right) shapes of each np.matmul call: the screen's GEMMs
     real_matmul = np.matmul
 
@@ -780,21 +732,12 @@ def test_column_screen_contracts_over_each_masks_selected_columns(monkeypatch):
         return real_matmul(x, y, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    for screen in SCREENS:
-        with monkeypatch.context() as mp:
-            _force_screen(mp, screen)
-            evaluator, _ = make_evaluator(dataset, seed=4)
-        n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
-        products.clear()
-        evaluator.evaluate_all([lone])
-        columns = 1 if screen == "columns" else d
-        assert products == [((n_test, columns), (columns, n_train))]
-        products.clear()
-        evaluator.evaluate_all(masks)
-        if screen == "columns":  # one GEMM per mask, over its selected columns
-            assert products == [((n_test, m.sum()), (m.sum(), n_train)) for m in masks]
-        else:  # one GEMM over every column, of every mask's test rows
-            assert products == [((len(masks) * n_test, d), (d, n_train))]
+    evaluator.evaluate_all([lone])
+    assert products == [((n_test, 1), (1, n_train))]
+    products.clear()
+    evaluator.evaluate_all(masks)
+    # one GEMM per mask, over its selected columns
+    assert products == [((n_test, m.sum()), (m.sum(), n_train)) for m in masks]
 
 
 @pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
@@ -803,19 +746,17 @@ def test_screen_tolerance_keeps_tie_heavy_outputs(config, monkeypatch):
     masks = _random_masks(dataset.n_features, 60, seed=15)
     distinct = {m.tobytes() for m in masks}
     outputs = {}
-    for screen in SCREENS:
-        for tolerance in ("default", "inf"):
-            with monkeypatch.context() as mp:
-                _force_screen(mp, screen)
-                if tolerance == "inf":
-                    _force_recheck(mp)
-                evaluator, _ = make_evaluator(dataset, seed=4)
-                assert evaluator._key_dtype is None
-                _set_block_rows(mp, evaluator, len(distinct), config)
-                outputs[screen, tolerance] = (evaluator.evaluate_all(masks),
-                                              [evaluator.error_and_fitness(m) for m in masks])
-    assert len(set(map(repr, outputs.values()))) == 1
-    for mask, (err, _) in zip(masks, outputs["columns", "default"][1]):
+    for tolerance in ("default", "inf"):
+        with monkeypatch.context() as mp:
+            if tolerance == "inf":
+                _force_recheck(mp)
+            evaluator, _ = make_evaluator(dataset, seed=4)
+            assert evaluator._key_dtype is None
+            _set_block_rows(mp, evaluator, len(distinct), config)
+            outputs[tolerance] = (evaluator.evaluate_all(masks),
+                                  [evaluator.error_and_fitness(m) for m in masks])
+    assert outputs["default"] == outputs["inf"]
+    for mask, (err, _) in zip(masks, outputs["default"][1]):
         assert err == error_rate(evaluator.train_x, evaluator.train_y, evaluator.test_x,
                                  evaluator.test_y, evaluator.params.k_neighbors, mask)
 
@@ -825,6 +766,8 @@ def test_recheck_takes_every_tied_pair_and_no_settled_one(kind, monkeypatch):
     dataset = SCREEN_DATASETS[kind]()
     masks = list({m.tobytes(): m for m in _random_masks(dataset.n_features, 40, seed=16)}
                  .values())
+    evaluator, _ = make_evaluator(dataset, seed=4)
+    k = evaluator.params.k_neighbors
     seen = []
     real_recheck = fitness._recheck
 
@@ -834,23 +777,17 @@ def test_recheck_takes_every_tied_pair_and_no_settled_one(kind, monkeypatch):
 
     monkeypatch.setattr(fitness, "_recheck", spy)
     monkeypatch.setattr(fitness, "BLOCK_BYTES", 0)  # one test row per block
-    for screen in SCREENS:
-        with monkeypatch.context() as mp:
-            _force_screen(mp, screen)
-            evaluator, _ = make_evaluator(dataset, seed=4)
-        k = evaluator.params.k_neighbors
-        seen.clear()
-        evaluator.evaluate_all(masks)
-        flagged = np.concatenate(seen, axis=1)
-        assert flagged.shape == (len(masks), len(evaluator.test_y))
-        # a pair is tied when its k-th and (k+1)-th exact distances are equal
-        tied = np.array([[row[k - 1] == row[k] for row in np.sort(
-            _zero_seeded_distances(evaluator, mask), axis=1)] for mask in masks])
-        if kind == "continuous":
-            assert not tied.any() and not flagged.any()
-        else:
-            assert tied.sum() > len(masks)
-            assert np.all(flagged[tied])
+    evaluator.evaluate_all(masks)
+    flagged = np.concatenate(seen, axis=1)
+    assert flagged.shape == (len(masks), len(evaluator.test_y))
+    # a pair is tied when its k-th and (k+1)-th exact distances are equal
+    tied = np.array([[row[k - 1] == row[k] for row in np.sort(
+        _zero_seeded_distances(evaluator, mask), axis=1)] for mask in masks])
+    if kind == "continuous":
+        assert not tied.any() and not flagged.any()
+    else:
+        assert tied.sum() > len(masks)
+        assert np.all(flagged[tied])
 
 
 @pytest.mark.parametrize("kind", ["continuous", "tie_heavy"])
@@ -864,15 +801,12 @@ def test_blas_thread_count_cannot_change_outputs(kind):
     try:
         for count in (1, default):
             blas.set_threads(count)
-            for screen in SCREENS:
-                with pytest.MonkeyPatch.context() as mp:
-                    _force_screen(mp, screen)
-                    evaluator, _ = make_evaluator(dataset, seed=4)
-                outputs[count, screen] = (evaluator.evaluate_all(masks),
-                                          [evaluator.error_and_fitness(m) for m in masks])
+            evaluator, _ = make_evaluator(dataset, seed=4)
+            outputs[count] = (evaluator.evaluate_all(masks),
+                              [evaluator.error_and_fitness(m) for m in masks])
     finally:
         blas.set_threads(default)
-    assert len(set(map(repr, outputs.values()))) == 1
+    assert outputs[1] == outputs[default]
 
 
 def test_kernel_runs_inside_the_first_missing_call(small_m_of_n, monkeypatch):

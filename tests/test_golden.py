@@ -5,12 +5,10 @@ runs.csv and every trace) are committed under tests/data/golden/<case>/.
 The m-of-n case has binary features, so KNN distances tie constantly and the
 tie rules decide the outcome; it runs on the evaluator's bit path. The
 real-valued case is tie-free, so its outcome rests on the distance order
-alone; it runs on the float path, whose split is small enough to take the
-batched screen. Both are checked at one and two workers, with a BLOCK_BYTES
-small enough that every batch is over budget and run in several blocks of
-test rows, and with BLOCK_BYTES at 0, which scores every batch one test row
-per block. The real-valued case is checked again on the column screen, in
-each of those block sizes.
+alone; it runs on the float path. Both are checked at one and two
+workers, with a BLOCK_BYTES small enough that every batch is over budget
+and run in several blocks of test rows, and with BLOCK_BYTES at 0, which
+scores every batch one test row per block.
 
 The fixture changes only on purpose, together with a note saying why. To
 re-freeze it, run this file as a script from the repository root:
@@ -59,34 +57,19 @@ def _replay_files(out: Path) -> dict[str, bytes]:
             if p.name != "timings.csv"}
 
 
-def _check_case(data: str, algo: str, out: Path, workers: int = 1) -> None:
-    _run_case(data, algo, out, workers)
-    got = _replay_files(out)
-    want = _replay_files(GOLDEN_DIR / data / algo)
-    assert len(want) == 5  # summary.csv, runs.csv and three traces
-    assert sorted(got) == sorted(want)
-    for name in want:
-        assert got[name] == want[name], f"{data}/{algo}/{name} differs from the golden file"
-
-
 @pytest.mark.parametrize("data,algo", CASES)
 @pytest.mark.parametrize("mode", ["workers1", "workers2", "over_budget", "over_budget_chunk1"])
 def test_cli_replays_golden_outputs(data, algo, mode, tmp_path, monkeypatch):
     monkeypatch.chdir(DATA_DIR)
     if mode in OVER_BUDGET_BYTES:
         monkeypatch.setattr(fitness, "BLOCK_BYTES", OVER_BUDGET_BYTES[mode])
-    _check_case(data, algo, tmp_path, workers=2 if mode == "workers2" else 1)
-
-
-@pytest.mark.parametrize("algo", ["fsro", "ga", "bpso"])
-@pytest.mark.parametrize("mode", ["default", *OVER_BUDGET_BYTES])
-def test_column_screen_replays_golden_outputs(algo, mode, tmp_path, monkeypatch):
-    # 57 train and 15 test rows: 1 KB holds planes of two test rows
-    monkeypatch.chdir(DATA_DIR)
-    monkeypatch.setattr(fitness, "SELECTED_MIN", 0)
-    if mode in OVER_BUDGET_BYTES:
-        monkeypatch.setattr(fitness, "BLOCK_BYTES", OVER_BUDGET_BYTES[mode])
-    _check_case("real", algo, tmp_path)
+    _run_case(data, algo, tmp_path, workers=2 if mode == "workers2" else 1)
+    got = _replay_files(tmp_path)
+    want = _replay_files(GOLDEN_DIR / data / algo)
+    assert len(want) == 5  # summary.csv, runs.csv and three traces
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], f"{data}/{algo}/{name} differs from the golden file"
 
 
 def _freeze() -> None:
