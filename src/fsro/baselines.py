@@ -2,15 +2,17 @@
 
 Both are elitist, use the same zero-mask repair, and consume one RngStream in
 a fixed order, so their runs replay exactly like the main engine's. Each run
-is its initialisation plus one `core.drive` call: GA's state is (population,
-fitness), BPSO's the six arrays and values that `bpso_step` takes and returns.
+is its initialisation plus one `core.drive` call: GA's state is the (n, d)
+uint8 population array and its float64 fitness array, BPSO's the six arrays
+and values that `bpso_step` takes and returns.
 
 They take the engine's batch protocol, `evaluate(masks) -> list[float]`,
-called once for the initial population and once per generation after all
-of its draws. GA scores its offspring together once they are all bred.
-BPSO defers its personal-best updates until the swarm's batch is scored;
-that changes nothing, because particle i's velocity reads only its own
-pbest[i] and the gbest from the start of the sweep.
+passed the population array (GA: its offspring rows) once for the initial
+population and once per generation after all of its draws. GA scores its
+offspring together once they are all bred. BPSO defers its personal-best
+updates until the swarm's batch is scored; that changes nothing, because
+particle i's velocity reads only its own pbest[i] and the gbest from the
+start of the sweep.
 
 Both draw their initial population with `engine.random_masks`, and BPSO
 draws its whole sweep with `engine.draw_rows`: one speculative block for
@@ -102,12 +104,6 @@ def _sample_bits(velocity: np.ndarray, u: np.ndarray) -> np.ndarray:
     return take.astype(np.uint8)
 
 
-def _best(masks: list[np.ndarray], fitness: list[float]) -> tuple[float, np.ndarray]:
-    """(fitness, mask) of the fittest mask; the first wins ties."""
-    i = min(range(len(fitness)), key=fitness.__getitem__)
-    return fitness[i], masks[i]
-
-
 def _tournament(fitness: list[float], rng: RngStream) -> int:
     """Binary tournament without replacement; the first pick wins ties."""
     i = rng.index(len(fitness))
@@ -117,41 +113,41 @@ def _tournament(fitness: list[float], rng: RngStream) -> int:
     return j if fitness[j] < fitness[i] else i
 
 
-def ga_step(population: list[np.ndarray], fitness: list[float], params: GaParams,
-            evaluate, rng: RngStream) -> tuple[list[np.ndarray], list[float]]:
+def ga_step(population: np.ndarray, fitness: np.ndarray, params: GaParams,
+            evaluate, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """One elitist generation: tournament parents, one-point crossover at the
     crossover rate, then one random bit flip per offspring at the mutation
-    rate; the offspring are scored in one batch after the last draw."""
-    n = len(population)
-    dim = population[0].size
-    elite_fit, elite = _best(population, fitness)
-    new_pop, new_fit = [elite.copy()], [elite_fit]
-    while len(new_pop) < n:
-        p1 = population[_tournament(fitness, rng)]
-        p2 = population[_tournament(fitness, rng)]
-        if rng.uniform() < params.crossover_rate and dim >= 2:
-            point = 1 + rng.index(dim - 1)
-            c1 = np.concatenate([p1[:point], p2[point:]])
-            c2 = np.concatenate([p2[:point], p1[point:]])
-        else:
-            c1, c2 = p1.copy(), p2.copy()
-        for child in (c1, c2):
-            if len(new_pop) >= n:
-                break
+    rate; the offspring are scored in one batch after the last draw.
+
+    Takes and returns the (n, d) population and its fitness. Row 0 is the
+    first fittest parent; rows 1.. are filled pair by pair, and the last
+    pair of an even n keeps only its first child. No crossover is a cut at d.
+    """
+    n, dim = population.shape
+    scores = fitness.tolist()
+    elite = int(np.argmin(fitness))  # the first wins ties
+    children = np.empty_like(population)
+    children[0] = population[elite]
+    for row in range(1, n, 2):
+        p1, p2 = population[_tournament(scores, rng)], population[_tournament(scores, rng)]
+        point = dim if rng.uniform() >= params.crossover_rate or dim < 2 else 1 + rng.index(dim - 1)
+        # indexing a row is cheaper than iterating a two-row slice
+        for k, head, tail in zip(range(row, n), (p1, p2), (p2, p1)):
+            child = children[k]
+            child[:point], child[point:] = head[:point], tail[point:]
             if rng.uniform() < params.mutation_rate:
                 child[rng.index(dim)] ^= 1
             repair_mask(child, rng)
-            new_pop.append(child)
-    new_fit.extend(evaluate(new_pop[1:]))
-    return new_pop, new_fit
+    return children, np.concatenate([fitness[elite:elite + 1], evaluate(children[1:])])
 
 
 def ga_run(params: GaParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
     """The elite leads each generation, so its fittest mask is the best so far."""
-    population = list(random_masks(params.population_size, dim, rng))
-    return drive(params.max_iterations, (population, evaluate(population)),
+    population = random_masks(params.population_size, dim, rng)
+    # argmin: the first of the fittest rows wins ties
+    return drive(params.max_iterations, (population, np.array(evaluate(population))),
                  lambda state: ga_step(*state, params, evaluate, rng),
-                 lambda state: _best(*state))
+                 lambda state: (float(state[1].min()), state[0][np.argmin(state[1])]))
 
 
 def _fly(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray, gbest: np.ndarray,
@@ -193,7 +189,7 @@ def bpso_step(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray,
     repair draw if the new position is all-zero.
     """
     positions, velocities = _fly(positions, velocities, pbest, gbest, params, rng)
-    fitness = np.array(evaluate(list(positions)), dtype=np.float64)
+    fitness = np.array(evaluate(positions), dtype=np.float64)
     better = fitness < pbest_fit
     pbest = np.where(better[:, None], positions, pbest)
     pbest_fit = np.where(better, fitness, pbest_fit)
@@ -205,10 +201,10 @@ def bpso_step(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray,
 
 def bpso_run(params: BpsoParams, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
     positions = random_masks(params.population_size, dim, rng)
-    fitness = evaluate(list(positions))
-    gbest_fit, gbest = _best(positions, fitness)
+    fit = np.array(evaluate(positions))
+    i = int(np.argmin(fit))  # the first wins ties
     # bpso_step replaces the swarm's arrays and writes none, so they may share rows
-    swarm = (positions, np.zeros(positions.shape), positions, np.array(fitness), gbest, gbest_fit)
+    swarm = (positions, np.zeros(positions.shape), positions, fit, positions[i], float(fit[i]))
     return drive(params.max_iterations, swarm,
                  lambda swarm: bpso_step(*swarm, params, evaluate, rng),
                  lambda swarm: (swarm[5], swarm[4]))

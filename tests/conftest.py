@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -35,3 +36,8 @@ def make_evaluator(dataset, seed, params=None):
     rng = RngStream(seed)
     split = stratified_split(dataset, params.train_fraction, rng)
     return FitnessEvaluator(dataset, split, params), rng
+
+
+def mismatch_fitness(masks):
+    """Fraction of bits differing from 1010...: cheap, with ties and a unique optimum."""
+    return [float(np.mean(m != (np.arange(m.size) % 2 == 0))) for m in masks]

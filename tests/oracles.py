@@ -1,9 +1,10 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Everything here but the list-based FSRO step's per-pair operators, the
-one-mask reference and `new_mask` at the end is deliberately written the
-slow, obvious way (plain Python loops, no shared helpers from the package)
-so a bug in the implementation cannot hide in its oracle.
+list-based GA step's zero-mask repair, the one-mask reference and `new_mask`
+at the end is deliberately written the slow, obvious way (plain Python
+loops, no shared helpers from the package) so a bug in the implementation
+cannot hide in its oracle.
 """
 
 from __future__ import annotations
@@ -265,6 +266,52 @@ def list_fsro_step(pop, params, evaluate, rng):
         if len(donors) > 1:
             pop.agents.remove(worst_first(donors)[0])
     return pop
+
+
+# --- list-based GA step -----------------------------------------------------
+# GA before its population became arrays: a list of masks and a list of
+# fitness values, the generation grown by appending until it is full. The
+# tournament is copied too, so a change to the package's draws shows here.
+
+def list_best(masks, fitness):
+    """(fitness, mask) of the fittest mask; the first wins ties."""
+    i = min(range(len(fitness)), key=fitness.__getitem__)
+    return fitness[i], masks[i]
+
+
+def list_tournament(fitness, rng):
+    """Binary tournament without replacement; the first pick wins ties."""
+    i = rng.index(len(fitness))
+    j = rng.index(len(fitness) - 1)
+    if j >= i:
+        j += 1
+    return j if fitness[j] < fitness[i] else i
+
+
+def list_ga_step(population, fitness, params, evaluate, rng):
+    """One elitist generation on lists: (new masks, new fitness)."""
+    n = len(population)
+    dim = population[0].size
+    elite_fit, elite = list_best(population, fitness)
+    new_pop, new_fit = [elite.copy()], [elite_fit]
+    while len(new_pop) < n:
+        p1 = population[list_tournament(fitness, rng)]
+        p2 = population[list_tournament(fitness, rng)]
+        if rng.uniform() < params.crossover_rate and dim >= 2:
+            point = 1 + rng.index(dim - 1)
+            c1 = np.concatenate([p1[:point], p2[point:]])
+            c2 = np.concatenate([p2[:point], p1[point:]])
+        else:
+            c1, c2 = p1.copy(), p2.copy()
+        for child in (c1, c2):
+            if len(new_pop) >= n:
+                break
+            if rng.uniform() < params.mutation_rate:
+                child[rng.index(dim)] ^= 1
+            engine.repair_mask(child, rng)
+            new_pop.append(child)
+    new_fit.extend(evaluate(new_pop[1:]))
+    return new_pop, new_fit
 
 
 def scalar_m_of_n_bits(n_instances, d, rng):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_evaluator
+from conftest import make_evaluator, mismatch_fitness
 from fsro.baselines import (
     BpsoParams,
     GaParams,
@@ -11,9 +13,10 @@ from fsro.baselines import (
     ga_step,
     sigmoid_transfer,
 )
-from fsro.core import ConfigError
+from fsro.core import ConfigError, drive
+from fsro.engine import random_masks
 from fsro.rng import RngStream
-from oracles import new_mask, scalar_bpso_step
+from oracles import list_best, list_ga_step, new_mask, scalar_bpso_step
 
 
 def count_ones(mask):
@@ -32,7 +35,7 @@ def random_population(n, d, rng):
         mask = np.zeros(d, dtype=np.uint8)
         mask[gen.choice(d, size=int(gen.integers(2, d + 1)), replace=False)] = 1
         pop.append(mask)
-    return pop
+    return np.array(pop)
 
 
 def test_params_validation():
@@ -54,7 +57,7 @@ def test_sigmoid_values():
 def test_ga_no_operators_copies_selected_parents():
     params = GaParams(crossover_rate=0.0, mutation_rate=0.0, population_size=10)
     population = random_population(10, 8, 3)
-    fitness = [count_ones(x) for x in population]
+    fitness = np.array(count_ones_fitness(population))
     new_pop, new_fit = ga_step(population, fitness, params, count_ones_fitness, RngStream(5))
     assert len(new_pop) == 10
     originals = {x.tobytes() for x in population}
@@ -68,7 +71,7 @@ def test_ga_mutation_flips_exactly_one_bit():
     # masks with >= 2 set bits cannot be zeroed by a single flip, so no repair
     params = GaParams(crossover_rate=0.0, mutation_rate=1.0, population_size=10)
     population = random_population(10, 8, 4)
-    fitness = [count_ones(x) for x in population]
+    fitness = np.array(count_ones_fitness(population))
     new_pop, _ = ga_step(population, fitness, params, count_ones_fitness, RngStream(6))
     originals = list(population)
     for child in new_pop[1:]:
@@ -90,6 +93,51 @@ def test_ga_replay_identical(small_m_of_n):
                            small_m_of_n.n_features, evaluator.evaluate_all, rng))
     assert runs[0].best_mask.tobytes() == runs[1].best_mask.tobytes()
     assert runs[0].trace == runs[1].trace
+
+
+GA_CASES = dict(seed=st.integers(0, 2**32 - 1), population=st.integers(2, 12),
+                dim=st.sampled_from([1, 2, 7, 13]), crossover=st.sampled_from([0.0, 0.3, 1.0]),
+                mutation=st.sampled_from([0.0, 0.3, 1.0]), iterations=st.integers(1, 4))
+
+
+@settings(deadline=None)
+@given(**GA_CASES)
+def test_ga_step_matches_the_list_based_reference(seed, population, dim, crossover, mutation,
+                                                  iterations):
+    """After every step the arrays hold what the list-based generation holds,
+    row for mask, and the stream stands at the same place; odd population
+    sizes fill every pair, even ones leave the last pair half-filled."""
+    params = GaParams(crossover, mutation, population)
+    rng = RngStream(seed)
+    masks = random_masks(population, dim, rng)
+    fitness = np.array(mismatch_fitness(masks))
+    ref, ref_fit = list(masks.copy()), fitness.tolist()
+    ref_rng = RngStream(0)
+    ref_rng.setstate(rng.getstate())
+    for _ in range(iterations):
+        masks, fitness = ga_step(masks, fitness, params, mismatch_fitness, rng)
+        ref, ref_fit = list_ga_step(ref, ref_fit, params, mismatch_fitness, ref_rng)
+        assert masks.dtype == np.uint8 and fitness.dtype == np.float64
+        assert masks.tolist() == [m.tolist() for m in ref]
+        assert fitness.tolist() == ref_fit
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(deadline=None)
+@given(**GA_CASES)
+def test_ga_run_matches_the_list_based_reference(seed, population, dim, crossover, mutation,
+                                                 iterations):
+    """A whole run traces the list-based run's best fitness and ends on its
+    best mask, the first of the fittest on ties."""
+    params = GaParams(crossover, mutation, population, iterations)
+    got = ga_run(params, dim, mismatch_fitness, RngStream(seed))
+    rng = RngStream(seed)
+    masks = list(random_masks(population, dim, rng))
+    want = drive(iterations, (masks, mismatch_fitness(masks)),
+                 lambda state: list_ga_step(*state, params, mismatch_fitness, rng),
+                 lambda state: list_best(*state))
+    assert got.trace == want.trace
+    assert got.best_mask.tolist() == want.best_mask.tolist()
 
 
 def test_bpso_stationary_particle_resamples_at_half():

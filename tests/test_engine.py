@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_evaluator
+from conftest import make_evaluator, mismatch_fitness
 from fsro.core import ConfigError, PopulationState
 from fsro.engine import (
     _evaluate,
@@ -585,11 +585,6 @@ def test_run_with_dimension_one():
     outcome = run_search(params, 1, count_ones_fitness, RngStream(2))
     assert outcome.best_fitness == 1.0
     assert list(outcome.best_mask) == [1]
-
-
-def mismatch_fitness(masks):
-    """Fraction of bits differing from 1010...: cheap, with ties and a unique optimum."""
-    return [float(np.mean(m != (np.arange(m.size) % 2 == 0))) for m in masks]
 
 
 POPULATIONS = st.integers(2, 10).map(lambda half: 2 * half)
