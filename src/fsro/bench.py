@@ -145,7 +145,6 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     else:
         results = [run_single(algorithm, dataset, algo_params, fit_params, seed)
                    for seed in seeds]
-    results.sort(key=lambda r: r.seed)
     return results, summarize(results, dataset.n_features)
 
 

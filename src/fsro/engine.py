@@ -102,9 +102,10 @@ def draw_rows(rng: RngStream, count: int, width: int, build) -> list[np.ndarray]
     build(first, raws) turns the (k, width) raws of rows first..first+k-1
     into a tuple of arrays with one row per row drawn, the first being the
     uint8 masks. All remaining rows are drawn as one block. At the first
-    all-zero mask the stream is set back to that row's end, the repair draw
-    runs, and the rows after it are drawn again. Returns each of build's
-    arrays, concatenated over the blocks.
+    all-zero mask the stream is set back to the block's start and the rows
+    up to that one are drawn again, which leaves it at that row's end; the
+    repair draw runs, and the rows after it are drawn as the next block.
+    Returns each of build's arrays, concatenated over the blocks.
     """
     parts = []
     first = 0
@@ -116,7 +117,7 @@ def draw_rows(rng: RngStream, count: int, width: int, build) -> list[np.ndarray]
         if empty.size:
             kept = int(empty[0]) + 1
             rng.setstate(start)
-            rng.advance(kept * width)
+            rng.raws(kept * width)
             out = tuple(item[:kept] for item in out)
             repair_mask(out[0][-1], rng)
         parts.append(out)

@@ -368,8 +368,6 @@ class FitnessEvaluator:
     """
 
     def __init__(self, dataset: Dataset, split: Split, params: FitnessParams):
-        self.dataset = dataset
-        self.split = split
         self.params = params
         train_raw = dataset.features[split.train_indices]
         test_raw = dataset.features[split.test_indices]

@@ -28,8 +28,9 @@ for three reasons:
 A uniform from a raw is `(raw >> 11) * 2**-53`, as `uniform()`, and a bit is
 `raw & 1`, since `bit()` is `index(2)`, whose rejection limit is 2^64 and so
 never rejects. Callers that batch a draw order with conditional draws in it
-draw a block speculatively, and on a conditional draw they rewind with
-`setstate` and `advance` to just before it.
+draw a block speculatively, and on a conditional draw they rewind: `setstate`
+to the block's start, then draw the kept part again, which leaves the stream
+just before the conditional draw.
 """
 
 from __future__ import annotations
@@ -122,12 +123,11 @@ def _apply(k: int, states: np.ndarray) -> np.ndarray:
 class RngStream:
     """xoshiro256** stream with uniform/index/shuffle draws."""
 
-    __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
         if not 0 <= seed <= MASK64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        self.seed = seed
         sm, self._s0 = _splitmix64(seed)
         sm, self._s1 = _splitmix64(sm)
         sm, self._s2 = _splitmix64(sm)
@@ -174,14 +174,6 @@ class RngStream:
         _step_lanes(state, span - r, history.T[r:])
         self.setstate(end)
         return _scramble(history.ravel()[:n])
-
-    def advance(self, n: int) -> None:
-        """Skip n draws: the state n next_raw calls would leave, by jumps."""
-        state = np.array([self.getstate()], dtype=np.uint64)
-        for k in range(n.bit_length()):
-            if n >> k & 1:
-                state = _apply(k, state)
-        self.setstate(state[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1), from the top 53 bits of one raw draw."""

@@ -47,7 +47,7 @@ def block_min(value):
         yield
 
 
-# --- raws / advance -------------------------------------------------------
+# --- raws and rewinds -------------------------------------------------------
 
 # n = 0, 1, and B - 1, B, B + 1 for lane spans B = 2, 4, 8, 16 and 256, and
 # either side of the default BLOCK_MIN
@@ -80,15 +80,19 @@ def test_raws_match_scalar_stream_anywhere(seed, offset, n, minimum):
         assert block.getstate() == scalar.getstate()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3000))
-def test_advance_skips_n_draws(seed, n):
-    jumped, scalar = streams(seed, 0)
-    jumped.advance(n)
-    for _ in range(n):
-        scalar.next_raw()
-    assert jumped.getstate() == scalar.getstate()
-    assert all(type(s) is int for s in jumped.getstate())
+def test_rewind_below_block_min_builds_no_jump_tables(monkeypatch):
+    """A speculative block rewinds by drawing its kept rows again, so a run
+    whose blocks all stay under BLOCK_MIN never builds the jump tables."""
+    monkeypatch.setattr(rng_module, "_POWERS", [])
+    block, scalar = streams(3, 0)
+    got = random_masks(40, 2, block)
+    want = [scalar_random_mask(2, scalar) for _ in range(40)]
+    assert got.tolist() == [m.tolist() for m in want]
+    # the oracle drew past the 80 bits, so some row was repaired
+    unrepaired, _ = streams(3, 80)
+    assert unrepaired.getstate() != scalar.getstate()
+    assert block.getstate() == scalar.getstate()
+    assert rng_module._POWERS == []
 
 
 def test_uniforms_and_bits_of_raws():

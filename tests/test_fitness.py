@@ -856,8 +856,8 @@ def test_evaluator_holds_normalized_rows_feature_major(kind):
     split = stratified_split(dataset, params.train_fraction, RngStream(6))
     evaluator, retained = _retained_numpy_bytes(
         lambda: FitnessEvaluator(dataset, split, params))
-    train_raw = dataset.features[evaluator.split.train_indices]
-    test_raw = dataset.features[evaluator.split.test_indices]
+    train_raw = dataset.features[split.train_indices]
+    test_raw = dataset.features[split.test_indices]
     assert np.array_equal(evaluator.train_x, minmax_normalize(train_raw, train_raw))
     assert np.array_equal(evaluator.test_x, minmax_normalize(train_raw, test_raw))
     # feature-major: each feature's values are one contiguous row
