@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -97,20 +98,38 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_context():
+    """The pool's multiprocessing context: fork on Linux, unless this process
+    has fixed a start method; elsewhere the platform's default.
+
+    A forked worker starts from this process's memory, with the package,
+    numpy and the BLAS cap already loaded, where a spawned or forkserver
+    worker starts a fresh interpreter and imports them again. From Python
+    3.14 Linux's default is forkserver, so fork is asked for by name. The
+    package starts no threads of its own, and OpenBLAS stops its thread
+    pool in a fork handler, so the fork copies no thread mid-call.
+    """
+    import multiprocessing  # kept off one-worker start-up, with the pool
+
+    fixed = multiprocessing.get_start_method(allow_none=True)
+    return multiprocessing.get_context(fixed or ("fork" if sys.platform == "linux" else None))
+
+
 def run_experiment(algorithm: str, dataset: Dataset, algo_params,
                    fit_params: FitnessParams, m_runs: int, base_seed: int,
                    workers: int = 1) -> tuple[list[RunResult], ExperimentSummary]:
     """M independent runs with seeds base_seed..base_seed+M-1, plus the summary.
 
-    The runs use a pool of min(workers, m_runs) processes, or none for one.
-    Each pool worker receives the run inputs once, at start, and runs numpy's
-    BLAS at its share of the CPUs' threads, max(1, cpus // pool size), so
-    the workers' matrix products do not contend for the CPUs. This process
-    sets that cap, and OPENBLAS_NUM_THREADS to it, before the pool starts,
-    and restores both when the pool is done. Forked workers inherit the cap;
-    spawned and forkserver workers load OpenBLAS at it from the variable,
-    and one that starts at another count (a forkserver started earlier,
-    say) sets the cap itself. A serial run keeps every BLAS thread.
+    The runs use a pool of min(workers, m_runs) processes, or none for one,
+    started by `_pool_context`'s method. Each pool worker receives the run
+    inputs once, at start, and runs numpy's BLAS at its share of the CPUs'
+    threads, max(1, cpus // pool size), so the workers' matrix products do
+    not contend for the CPUs. This process sets that cap, and
+    OPENBLAS_NUM_THREADS to it, before the pool starts, and restores both
+    when the pool is done. Forked workers inherit the cap; spawned and
+    forkserver workers load OpenBLAS at it from the variable, and one that
+    starts at another count (a forkserver started earlier, say) sets the
+    cap itself. A serial run keeps every BLAS thread.
     """
     if m_runs < 1:
         raise ConfigError(f"need at least one run, got {m_runs}")
@@ -132,7 +151,8 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
         # loaded OpenBLAS at its default would run them all
         os.environ["OPENBLAS_NUM_THREADS"] = str(share)
         try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+            with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context(),
+                                     initializer=_start_worker,
                                      initargs=(share, inputs)) as pool:
                 results = list(pool.map(_run_seed, seeds))
         finally:

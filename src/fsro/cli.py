@@ -4,6 +4,11 @@ Outputs are plain CSV with full-precision floats so a re-run with the same
 configuration and seed reproduces summary.csv, runs.csv, and the trace files
 byte for byte. Wall-clock measurements, which can never replay exactly, go to
 a separate timings.csv and to stdout.
+
+A run's test_accuracy in runs.csv (and average_accuracy in summary.csv, its
+mean) is the best mask's accuracy on the same held-out split that the
+search's fitness scored. It is not measured on rows the search never saw,
+so it is an optimistic estimate of generalization.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def _parse_synthetic(spec: str):
-    """Parse 'm-of-n:R,M,NOISE,INSTANCES' into generator arguments."""
+def _synthetic(spec: str, seed: int) -> Dataset:
+    """The m-of-n dataset that 'm-of-n:R,M,NOISE,INSTANCES' names, drawn from seed."""
     try:
         kind, rest = spec.split(":", 1)
         if kind != "m-of-n":
@@ -35,13 +40,12 @@ def _parse_synthetic(spec: str):
     except ValueError as e:
         raise ConfigError(f"bad --synthetic spec {spec!r} "
                           f"(expected m-of-n:R,M,NOISE,INSTANCES): {e}")
-    return n_relevant, m, n_noise, n_instances
+    return generate_m_of_n(n_relevant, m, n_noise, n_instances, RngStream(seed))
 
 
 def _load_dataset(args) -> Dataset:
     if args.synthetic:
-        n_relevant, m, n_noise, n_instances = _parse_synthetic(args.synthetic)
-        return generate_m_of_n(n_relevant, m, n_noise, n_instances, RngStream(args.seed))
+        return _synthetic(args.synthetic, args.seed)
     if not args.dataset:
         raise ConfigError("either --dataset or --synthetic is required")
     return load_csv(args.dataset, label_column=args.label_column, has_header=not args.no_header)
@@ -157,10 +161,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    n_relevant, m, n_noise, n_instances = _parse_synthetic(args.synthetic)
     path = Path(args.out)
     _output_dir(path.parent)
-    dataset = generate_m_of_n(n_relevant, m, n_noise, n_instances, RngStream(args.seed))
+    dataset = _synthetic(args.synthetic, args.seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, path)
     print(f"wrote {dataset.n_instances}x{dataset.n_features} dataset to {path}")

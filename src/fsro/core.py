@@ -104,7 +104,11 @@ def drive(iterations: int, state, step, best,
 
 @dataclass
 class RunResult:
-    """One seeded run of one algorithm on one dataset."""
+    """One seeded run of one algorithm on one dataset.
+
+    test_accuracy is best_mask's accuracy on the run's held-out split, the
+    one whose KNN error the search optimised, not on rows it never saw.
+    """
 
     algorithm: str
     dataset: str

@@ -18,10 +18,13 @@ it walks the features in index order, squares each selected feature once
 into one scratch tile, and adds that tile into every mask that selects it.
 Every element is the same subtract-then-square and every mask keeps its
 feature order, so the exact distances carry the same bits whatever the
-block size or the number of masks. `_nearest_indices` then takes the
-neighbors by k argmin passes, and the first minimum of a row is its lowest
-index, which is the tie rule. The vote depends only on the neighbor set, so
-every route below that finds the same neighbor sets gives the same outputs.
+block size or the number of masks. One routine applies the tie rule:
+`_take_k` takes a row's k neighbors in k passes, each recording the row's
+pick and writing a value over it that no later pass picks. On distances
+(`_nearest_indices`) a pass is an argmin, and the first minimum of a row is
+its lowest index, which is the tie rule. The vote depends only on the
+neighbor set, so every route below that finds the same neighbor sets gives
+the same outputs.
 The evaluator finds them by one of two paths, fixed per split:
 
 - The real-valued path screens, then rechecks. A mask's squared distance
@@ -32,7 +35,7 @@ The evaluator finds them by one of two paths, fixed per split:
   no rank and no gap. a and b are one matrix product each per batch. Q
   comes from one GEMM per mask of its selected test rows against its
   selected train rows, so a mask's screen costs in proportion to its size.
-  `_nearest_and_gap` takes the k argmin passes over the screened values
+  `_nearest_and_gap` takes `_nearest_indices` over the screened values
   and returns the gap between each pair's (k+1)-th and k-th smallest.
 - Why the screen keeps the bits. Error bounds for a sum of products hold
   for any summation order and for FMA, and every term here is at most
@@ -70,13 +73,14 @@ The evaluator finds them by one of two paths, fixed per split:
   Every neighbor that no full cell gives is ranked by the composite keys
   distance << shift | train_index, which `_nearest_keys` builds from the
   distances: they are unique per row and order exactly as (distance, index)
-  does, so its k passes of `min` take the same neighbors as the k argmin
-  passes, in the same order. The distances come from two passes that share
-  nothing. The gated pass groups the codes by `_cells`, takes the full
-  cells, and keys each other pair from its codes, a chunk of pairs at a
-  time. The skipped pass keys every test row of the masks the gate skips,
-  one block of test rows at a time: `_bit_keys` takes one block's xor of
-  packed test and train words, and each mask ANDs its words into it.
+  does, so `_take_k`'s passes of `min` take the same neighbors as its
+  argmin passes, in the same order. The distances come from two passes
+  that share nothing. The gated pass groups the codes by `_cells`, takes
+  the full cells, and keys each other pair from its codes, a chunk of
+  pairs at a time. The skipped pass keys every test row of the masks the
+  gate skips, one block of test rows at a time: `_bit_keys` takes one
+  block's xor of packed test and train words, and each mask ANDs its words
+  into it.
 """
 
 from __future__ import annotations
@@ -189,21 +193,32 @@ def _accumulate(accs, masks: np.ndarray, test_rows: np.ndarray,
             started[i] = True
 
 
+def _take_k(values: np.ndarray, k: int, pick, taken) -> np.ndarray:
+    """The one k-pass loop behind every neighbor set: (rows, k) picked columns.
+
+    Each pass records pick(values), one column per row, and unless it is the
+    last pass writes `taken` over that column, a value that no later pass
+    picks. values is consumed: each row's first k - 1 picks hold `taken`,
+    and its k-th keeps its value.
+    """
+    rows = np.arange(values.shape[0])
+    cols = np.empty((values.shape[0], k), dtype=np.int64)
+    for j in range(k):
+        nearest = pick(values)
+        cols[:, j] = nearest
+        if j + 1 < k:
+            values[rows, nearest] = taken
+    return cols
+
+
 def _nearest_indices(d2: np.ndarray, k: int) -> np.ndarray:
     """Row-wise indices of the k nearest columns in (value, index) order.
 
-    Each pass takes the first (lowest-index) minimum of every row, which is
-    the documented distance tie rule. The input matrix is consumed: each
-    row's first k - 1 picks become inf, and its k-th keeps its value.
+    Each of `_take_k`'s passes takes the first (lowest-index) minimum of
+    every row, which is the documented distance tie rule, and writes inf
+    over it. The input matrix is consumed.
     """
-    rows = np.arange(d2.shape[0])
-    cols = np.empty((d2.shape[0], k), dtype=np.int64)
-    for j in range(k):
-        nearest = d2.argmin(axis=1)
-        cols[:, j] = nearest
-        if j + 1 < k:
-            d2[rows, nearest] = np.inf
-    return cols
+    return _take_k(d2, k, lambda d: d.argmin(axis=1), np.inf)
 
 
 def _nearest_and_gap(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,22 +321,15 @@ def _nearest_keys(distances: np.ndarray, k: int, shift: int) -> np.ndarray:
 
     distances is (rows, n_train), of the key dtype. In place it becomes the
     composite keys distance << shift | train_index, which are unique within
-    a row and order as (distance, index) does. Each pass's minimum names one
-    column, its low `shift` bits; that key then becomes the dtype maximum,
-    which no key reaches. The input matrix is consumed.
+    a row and order as (distance, index) does. Each of `_take_k`'s passes
+    takes a row's minimum, which names one column by its low `shift` bits,
+    and writes the dtype maximum over it, which no key reaches. The input
+    matrix is consumed.
     """
     keys = np.left_shift(distances, shift, out=distances)
     np.bitwise_or(keys, np.arange(keys.shape[-1], dtype=keys.dtype), out=keys)
     low = (1 << shift) - 1
-    top = np.iinfo(keys.dtype).max
-    rows = np.arange(keys.shape[0])
-    cols = np.empty((keys.shape[0], k), dtype=np.int64)
-    for j in range(k):
-        nearest = keys.min(axis=1) & low
-        cols[:, j] = nearest
-        if j + 1 < k:
-            keys[rows, nearest] = top
-    return cols
+    return _take_k(keys, k, lambda ks: ks.min(axis=1) & low, np.iinfo(keys.dtype).max)
 
 
 def _vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -422,9 +430,10 @@ class FitnessEvaluator:
         n, n_test, n_train = len(matrix), len(self.test_y), len(self.train_y)
         k = self.params.k_neighbors
         # per (mask, row): sums of squares over the mask, a of the test rows
-        # and b of the train rows
-        a = matrix @ np.square(self._test_rows)
-        b = matrix @ np.square(self._train_rows)
+        # and b of the train rows. np.matmul, as for the screen's GEMMs, so
+        # that one wrapper of it sees every product the float path makes
+        a = np.matmul(matrix, np.square(self._test_rows))
+        b = np.matmul(matrix, np.square(self._train_rows))
         neighbors = np.empty((n, n_test, k), dtype=np.int64)
         gaps = np.empty((n, n_test))
         # a plane of as many test rows as fit in BLOCK_BYTES, reused

@@ -108,13 +108,15 @@ def _outputs(results):
 def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     sizes = []
     caps = []
+    methods = []  # the start method of each pool's context
     variables = []  # OPENBLAS_NUM_THREADS as each pool starts
     # a stand-in for numpy's BLAS thread count, above any pool's share
     own = _cpus() + 1
     count = [own]
 
-    def pool(max_workers, initializer, initargs):  # records the size, runs jobs in threads
+    def pool(max_workers, mp_context, initializer, initargs):  # records, runs jobs in threads
         sizes.append(max_workers)
+        methods.append(mp_context.get_start_method())
         variables.append(os.environ.get("OPENBLAS_NUM_THREADS"))
         return ThreadPoolExecutor(max_workers, initializer=initializer, initargs=initargs)
 
@@ -134,6 +136,10 @@ def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     assert caps == []  # a serial run keeps every BLAS thread
     pooled, _ = _tiny_experiment(3, 8)
     assert sizes == [3]
+    # fork on Linux unless this process fixed a start method; elsewhere the
+    # platform's default, which the pool has fixed by now
+    fixed = multiprocessing.get_start_method(allow_none=True)
+    assert methods == [(fixed or "fork") if sys.platform == "linux" else fixed]
     # the share is set once, before the pool starts, so the workers inherit
     # it and set nothing, and a worker that loads OpenBLAS afresh reads it
     # from the variable; then this process gets its own count and variable
@@ -153,6 +159,16 @@ def test_pool_is_no_larger_than_the_run_count(monkeypatch):
     caps.clear()
     bench._start_worker(share, ("inputs",))
     assert caps == [share] and bench._worker_inputs == ("inputs",)
+
+
+def test_pool_forks_on_linux_unless_a_start_method_is_fixed(monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("this platform cannot fork")
+    monkeypatch.setattr(sys, "platform", "linux")
+    for fixed, method in ((None, "fork"), ("spawn", "spawn"), ("fork", "fork")):
+        monkeypatch.setattr(multiprocessing, "get_start_method",
+                            lambda allow_none=False, fixed=fixed: fixed)
+        assert bench._pool_context().get_start_method() == method
 
 
 def test_importing_the_cli_leaves_the_process_pool_out():
@@ -184,7 +200,7 @@ def test_pool_workers_share_the_blas_threads(monkeypatch):
     before = blas.threads()
     if before is None:
         pytest.skip("numpy's bundled OpenBLAS or its thread setter was not found")
-    if multiprocessing.get_start_method() != "fork":
+    if bench._pool_context().get_start_method() != "fork":
         pytest.skip("the patched run_single reaches pool workers only through fork")
     monkeypatch.setattr(bench, "run_single", _report_blas_threads(bench.run_single))
     results, _ = _tiny_experiment(4, 2)

@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_evaluator
 from fsro import FitnessParams, RngStream, blas, fitness, generate_m_of_n
 from fsro.core import ConfigError
-from fsro.data import Dataset, Split, stratified_split
+from fsro.data import Dataset, Split, load_csv, stratified_split
 from fsro.fitness import FitnessEvaluator, fitness_value, minmax_normalize
 from oracles import brute_error_rate, brute_knn_classify, error_rate, knn_predict, new_mask
 
@@ -55,6 +56,47 @@ def test_knn_distance_tie_smaller_index_wins():
     train_y = np.array([2, 0, 1])
     assert knn_predict(train_x, train_y, np.array([[9.0, 7.0]]), 1,
                        new_mask([0, 1])).tolist() == [2]
+
+
+def _tied_rows(values, n_train, seed):
+    """Rows of n_train entries drawn from a few values, so most entries tie,
+    plus one row that is one value throughout."""
+    g = np.random.default_rng(seed)
+    rows = g.choice(np.asarray(values), size=(12, n_train))
+    rows[0] = values[-1]
+    return rows
+
+
+def _stable_order(values):
+    """Each row's columns in (value, index) order: a stable sort by value."""
+    return np.argsort(values, axis=1, kind="stable")
+
+
+@pytest.mark.parametrize("n_train", [1, 2, 9, 33])
+def test_nearest_indices_and_gap_follow_the_tie_rule(n_train):
+    rows = _tied_rows([-1.5, 0.0, 0.25, 0.25 + 2.0 ** -50, 3.0], n_train, seed=n_train)
+    order, ranked = _stable_order(rows), np.sort(rows, axis=1)
+    for k in range(1, n_train + 1):
+        assert np.array_equal(fitness._nearest_indices(rows.copy(), k), order[:, :k])
+        cols, gaps = fitness._nearest_and_gap(rows.copy(), k)
+        assert np.array_equal(cols, order[:, :k])
+        if k < n_train:
+            assert np.array_equal(gaps, ranked[:, k] - ranked[:, k - 1])
+        else:
+            assert np.all(gaps == np.inf)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+@pytest.mark.parametrize("n_train", [1, 2, 9, 33])
+def test_nearest_keys_follow_the_tie_rule(dtype, n_train):
+    shift = (n_train - 1).bit_length()
+    # the largest distance that `_key_dtype` admits: distance.bit_length()
+    # + shift < the dtype's bits, so that every key is below the sentinel
+    top = 2 ** (8 * np.dtype(dtype).itemsize - shift - 1) - 1
+    rows = _tied_rows([0, 1, 2, top - 1, top], n_train, seed=n_train).astype(dtype)
+    order = _stable_order(rows)
+    for k in range(1, n_train + 1):
+        assert np.array_equal(fitness._nearest_keys(rows.copy(), k, shift), order[:, :k])
 
 
 def test_knn_rejects_empty_mask_and_large_k():
@@ -724,7 +766,9 @@ def test_screen_contracts_over_each_masks_selected_columns(monkeypatch):
     masks = list({m.tobytes(): m for m in _random_masks(d, 12, seed=18)}.values())
     evaluator, _ = make_evaluator(dataset, seed=4)
     n_test, n_train = len(evaluator.test_y), len(evaluator.train_y)
-    products = []  # (left, right) shapes of each np.matmul call: the screen's GEMMs
+    # (left, right) shapes of each np.matmul call: the batch's sums of
+    # squares a and b, then the screen's GEMMs
+    products = []
     real_matmul = np.matmul
 
     def spy(x, y, *args, **kwargs):
@@ -733,11 +777,13 @@ def test_screen_contracts_over_each_masks_selected_columns(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", spy)
     evaluator.evaluate_all([lone])
-    assert products == [((n_test, 1), (1, n_train))]
+    sums = [((1, d), (d, n_test)), ((1, d), (d, n_train))]
+    assert products == [*sums, ((n_test, 1), (1, n_train))]
     products.clear()
     evaluator.evaluate_all(masks)
     # one GEMM per mask, over its selected columns
-    assert products == [((n_test, m.sum()), (m.sum(), n_train)) for m in masks]
+    sums = [((len(masks), d), (d, n_test)), ((len(masks), d), (d, n_train))]
+    assert products == [*sums, *(((n_test, m.sum()), (m.sum(), n_train)) for m in masks)]
 
 
 @pytest.mark.parametrize("config", sorted(BLOCK_ROWS))
@@ -807,6 +853,86 @@ def test_blas_thread_count_cannot_change_outputs(kind):
     finally:
         blas.set_threads(default)
     assert outputs[1] == outputs[default]
+
+
+def _integer_levels_dataset():
+    """699 x 9 values at the integer levels 1-10, with labels drawn per row.
+
+    Levels normalize to multiples of 1/9, which no power of two divides, so
+    exact distances tie often while the screen's sums round."""
+    g = np.random.default_rng(2026)
+    return Dataset("levels", g.integers(1, 11, size=(699, 9)).astype(np.float64),
+                   g.integers(0, 2, size=699).astype(np.int64))
+
+
+GOLDEN_REAL_CSV = Path(__file__).parent / "data" / "real_small.csv"
+ROUNDING_SPLITS = {
+    "levels": lambda: make_evaluator(_integer_levels_dataset(), seed=8)[0],
+    # the golden `real` case's split: run 0 draws it from the CLI seed
+    "golden_real": lambda: make_evaluator(load_csv(GOLDEN_REAL_CSV), seed=5)[0],
+}
+
+
+def _returned(result, out):
+    """What np.matmul returns: result, or out holding it when out is given."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+def _reversed_matmul(x, y, out=None):
+    """x @ y with each element's products summed in reverse contraction order."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    result = np.zeros((x.shape[0], y.shape[1]))
+    for j in reversed(range(x.shape[1])):
+        result += np.multiply.outer(x[:, j], y[j])
+    return _returned(result, out)
+
+
+def _perturbed_matmul(real_matmul, signs):
+    """x @ y, each element moved by 2 * m * 2**-53 * (|x| @ |y|) with signs(shape).
+
+    m is the element's count of nonzero products. Any summation order, with
+    or without FMA, is within gamma_m * (|x| @ |y|) of the true sum, gamma_m
+    = m * 2**-53 / (1 - m * 2**-53) (Higham 2002, section 3.1), so this is
+    a BLAS's worst case, doubled.
+    """
+    def matmul(x, y, out=None):
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        m = real_matmul((x != 0).astype(np.float64), (y != 0).astype(np.float64))
+        bound = 2.0 * m * 2.0 ** -53 * real_matmul(np.abs(x), np.abs(y))
+        return _returned(real_matmul(x, y) + signs(bound.shape) * bound, out)
+
+    return matmul
+
+
+def _rounding_wrappers(real_matmul):
+    g = np.random.default_rng(19)
+    return {
+        "reversed": _reversed_matmul,
+        "up": _perturbed_matmul(real_matmul, np.ones),
+        "down": _perturbed_matmul(real_matmul, lambda shape: -np.ones(shape)),
+        "random": _perturbed_matmul(real_matmul,
+                                    lambda shape: g.choice([-1.0, 1.0], size=shape)),
+    }
+
+
+@pytest.mark.parametrize("wrapper", ["reversed", "up", "down", "random"])
+@pytest.mark.parametrize("split", sorted(ROUNDING_SPLITS))
+def test_screen_outputs_do_not_depend_on_how_the_blas_sums(split, wrapper, monkeypatch):
+    # every product the float path makes goes through np.matmul: its sums of
+    # squares and its screen. Whatever order or rounding a conforming BLAS
+    # uses, the gap test must send every pair it could misorder to the
+    # exact recheck.
+    evaluator = ROUNDING_SPLITS[split]()
+    assert evaluator._key_dtype is None
+    masks = _random_masks(evaluator.n_features, 80, seed=20)
+    want = (evaluator.evaluate_all(masks), [evaluator.error_and_fitness(m) for m in masks])
+    monkeypatch.setattr(np, "matmul", _rounding_wrappers(np.matmul)[wrapper])
+    evaluator = ROUNDING_SPLITS[split]()
+    assert (evaluator.evaluate_all(masks),
+            [evaluator.error_and_fitness(m) for m in masks]) == want
 
 
 def test_kernel_runs_inside_the_first_missing_call(small_m_of_n, monkeypatch):
