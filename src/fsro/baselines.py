@@ -39,9 +39,21 @@ from .rng import RngStream, uniforms
 # within a few ulp (2**-52 each) of it
 SIGMOID_BAND = 2.0 ** -40
 
+# bound on every BPSO velocity component: sigmoid(6) is about 0.9975, so a
+# bit at the clamp still samples the other value about once in 400 draws
+VELOCITY_CLAMP = 6.0
+
 
 @dataclass(frozen=True)
 class GaParams:
+    """Genetic-algorithm settings; every field has a CLI flag.
+
+    crossover_rate is the chance that a parent pair is cut at a random
+    point, mutation_rate the chance that each offspring gets one random bit
+    flip. population_size (>= 2) is the number of rows and max_iterations
+    the number of generations.
+    """
+
     crossover_rate: float = 0.8
     mutation_rate: float = 0.3
     population_size: int = 40
@@ -63,18 +75,24 @@ class GaParams:
 
 @dataclass(frozen=True)
 class BpsoParams:
+    """Binary particle swarm settings; every field has a CLI flag.
+
+    A velocity becomes inertia_weight times itself, plus cognitive_factor
+    times a uniform times the step to the particle's personal best, plus
+    social_factor times a uniform times the step to the global best, and is
+    clipped to the module constant VELOCITY_CLAMP in magnitude.
+    population_size (>= 1) is the number of particles and max_iterations
+    the number of sweeps.
+    """
+
     inertia_weight: float = 1.0
     cognitive_factor: float = 2.0
     social_factor: float = 2.0
-    velocity_clamp: float = 6.0
     population_size: int = 40
     max_iterations: int = 100
 
     def __post_init__(self):
-        require_finite(self, "inertia_weight", "cognitive_factor", "social_factor",
-                       "velocity_clamp")
-        if self.velocity_clamp <= 0:
-            raise ConfigError(f"velocity_clamp must be positive, got {self.velocity_clamp}")
+        require_finite(self, "inertia_weight", "cognitive_factor", "social_factor")
         if self.population_size < 1:
             raise ConfigError(f"population_size must be >= 1, got {self.population_size}")
         if self.max_iterations < 0:
@@ -158,7 +176,6 @@ def _fly(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray, gbest
     scored.
     """
     w, c1, c2 = params.inertia_weight, params.cognitive_factor, params.social_factor
-    clamp = params.velocity_clamp
     dim = gbest.size
     to_pbest = pbest.astype(np.float64) - positions
     to_gbest = gbest.astype(np.float64) - positions
@@ -170,7 +187,7 @@ def _fly(positions: np.ndarray, velocities: np.ndarray, pbest: np.ndarray, gbest
         vel = w * velocities[rows]
         vel += c1 * r[:, 0:2 * dim:2] * to_pbest[rows]
         vel += c2 * r[:, 1:2 * dim:2] * to_gbest[rows]
-        np.clip(vel, -clamp, clamp, out=vel)
+        np.clip(vel, -VELOCITY_CLAMP, VELOCITY_CLAMP, out=vel)
         return _sample_bits(vel, r[:, 2 * dim:]), vel
 
     return draw_rows(rng, len(positions), 3 * dim, sweep)

@@ -14,20 +14,15 @@ so it is an optimistic estimate of generalization.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .bench import ALGORITHMS, run_experiment, wilcoxon_signed_rank
 from .core import ConfigError, DataError, RunResult, mask_string
-from .data import Dataset, generate_m_of_n, load_csv, save_csv
+from .data import Dataset, generate_m_of_n, load_csv, save_csv, write_rows
 from .fitness import FitnessParams
 from .rng import MASK64, RngStream
-
-
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 def _synthetic(spec: str, seed: int) -> Dataset:
@@ -71,31 +66,23 @@ def _output_dir(path: Path) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
 def _write_run_outputs(out: Path, results: list[RunResult], summary) -> None:
-    _write_csv(out / "summary.csv",
+    write_rows(out / "summary.csv",
                ["mean_fitness", "best_fitness", "worst_fitness", "std_fitness",
                 "average_accuracy", "average_reduction", "runs"],
                [[summary.mean_fitness, summary.best_fitness, summary.worst_fitness,
                  summary.std_fitness, summary.average_accuracy,
                  summary.average_reduction, summary.runs]])
-    _write_csv(out / "runs.csv",
+    write_rows(out / "runs.csv",
                ["algorithm", "dataset", "seed", "best_fitness", "test_accuracy",
                 "selected_count", "best_mask"],
                [[r.algorithm, r.dataset, r.seed, r.best_fitness, r.test_accuracy,
                  r.selected_count, mask_string(r.best_mask)] for r in results])
-    _write_csv(out / "timings.csv",
+    write_rows(out / "timings.csv",
                ["seed", "wall_time_seconds"],
                [[r.seed, r.wall_time_seconds] for r in results])
     for r in results:
-        _write_csv(out / f"trace_{r.seed}.csv",
+        write_rows(out / f"trace_{r.seed}.csv",
                    ["iteration", "best_fitness", "frog_count", "snake_count",
                     "predation_success"],
                    [[t.iteration, t.best_fitness, t.frog_count, t.snake_count,
@@ -147,11 +134,11 @@ def cmd_compare(args) -> int:
     fits_b = [r.best_fitness for r in results[algo_b]]
     p_value, decision = wilcoxon_signed_rank(fits_a, fits_b)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "paired.csv",
+    write_rows(out / "paired.csv",
                ["seed", f"fitness_{algo_a}", f"fitness_{algo_b}"],
                [[r_a.seed, r_a.best_fitness, r_b.best_fitness]
                 for r_a, r_b in zip(results[algo_a], results[algo_b])])
-    _write_csv(out / "comparison.csv",
+    write_rows(out / "comparison.csv",
                ["algorithm_a", "algorithm_b", "dataset", "runs", "p_value", "decision"],
                [[algo_a, algo_b, dataset.name, args.runs, p_value, decision.value]])
     print(f"{algo_a} vs {algo_b} on {dataset.name}: "

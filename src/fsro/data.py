@@ -316,14 +316,22 @@ def _parses(cell: str) -> bool:
     return True
 
 
+def write_rows(path, header: list[str], rows) -> None:
+    """Write a header row and then `rows` as UTF-8 CSV, each float as its
+    repr so that it reloads bit for bit. Every CSV the package writes goes
+    through here, so a replayed file matches its first write byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+                    for row in rows)
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset back to CSV (features then label, full float precision)."""
     names = dataset.feature_names or [f"f{i}" for i in range(dataset.n_features)]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow([*names, "label"])
-        for x, y in zip(dataset.features, dataset.labels):
-            w.writerow([*(repr(float(v)) for v in x), int(y)])
+    write_rows(path, [*names, "label"],
+               ([*x, y] for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())))
 
 
 def stratified_split(dataset: Dataset, train_fraction: float, rng: RngStream) -> Split:

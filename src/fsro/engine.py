@@ -49,9 +49,26 @@ from .rng import RngStream, uniforms
 # keeps both shares representable at one agent for the default N=40
 SHARE_FLOOR = 0.025
 
+# A group of this many rows or fewer is reseeded by `ess_mutation`. Twice
+# the threshold is the smallest population (4), so both groups can be that
+# thin only on an even split, and their two reseeds then keep it even.
+ESS_THRESHOLD = 2
+
 
 @dataclass(frozen=True)
 class FsroParams:
+    """Frog-snake search settings; every field has a CLI flag.
+
+    population_size is the even number of rows (>= 4), half of them frogs
+    at the start, and max_iterations the number of steps. max_dis scales the
+    share of mismatched bits between a frog and its snake into a distance.
+    An escape rate is (w * distance + d) / 100, clamped into [0, 1]: the
+    (w1, d1) avoidance line up to decision_dis, the (w2, d2) line beyond
+    it. Distances, decision_dis and the d terms are in percent. The group
+    size at which the ESS mutation reseeds is the module constant
+    ESS_THRESHOLD.
+    """
+
     population_size: int = 40
     max_iterations: int = 100
     max_dis: float = 80.0
@@ -60,7 +77,6 @@ class FsroParams:
     w2: float = 1.0
     d1: float = 40.0
     d2: float = 20.0
-    ess_threshold: int = 2
 
     def __post_init__(self):
         require_finite(self, "max_dis", "decision_dis", "w1", "w2", "d1", "d2")
@@ -72,17 +88,6 @@ class FsroParams:
             raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.max_dis <= 0 or self.decision_dis <= 0:
             raise ConfigError("max_dis and decision_dis must be positive")
-        if self.ess_threshold < 1:
-            raise ConfigError(f"ess_threshold must be >= 1, got {self.ess_threshold}")
-        # Below 2 * threshold, an uneven split can leave both groups at or
-        # under the threshold; both reseed, the two reseeds cancel, and the
-        # thin group is never lifted. At 2 * threshold only the even split
-        # has both groups there, and its two reseeds keep it even.
-        if self.population_size < 2 * self.ess_threshold:
-            raise ConfigError(
-                f"population_size must be >= 2 * ess_threshold, got "
-                f"{self.population_size} with ess_threshold={self.ess_threshold}"
-            )
 
     def search(self, dim: int, evaluate, rng: RngStream) -> SearchOutcome:
         return run_search(self, dim, evaluate, rng)
@@ -378,7 +383,7 @@ def step(pop: PopulationState, params: FsroParams, evaluate, rng: RngStream) -> 
     shares = replicator_update((pop.frog_share, pop.snake_share), payoffs)
     pop.frog_share, pop.snake_share = shares
     resize_groups(pop, shares)
-    ess_mutation(pop, params.ess_threshold)
+    ess_mutation(pop, ESS_THRESHOLD)
     return pop
 
 

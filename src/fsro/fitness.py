@@ -402,7 +402,8 @@ class FitnessEvaluator:
         self._pending = []
 
     def _score(self, masks) -> None:
-        """Cache (error, fitness) for every distinct uncached mask, block by block."""
+        """Cache (error, fitness) for every distinct uncached mask, block by
+        block. The caller passes a cache miss first, so there is always one."""
         todo: dict[bytes, np.ndarray] = {}
         for mask in masks:
             key = mask_key(mask)
@@ -411,8 +412,6 @@ class FitnessEvaluator:
                     raise ValueError("all-zero mask reached the evaluator; "
                                      "repair is missing upstream")
                 todo[key] = mask
-        if not todo:
-            return
         matrix = np.array(list(todo.values()))
         neighbors = (self._float_neighbors if self._key_dtype is None
                      else self._bit_neighbors)(matrix)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fsro import engine, fitness
+from fsro import baselines, engine, fitness
 
 
 def brute_knn_classify(train_x, train_y, query, k, mask):
@@ -116,7 +116,7 @@ def scalar_bpso_step(positions, velocities, pbest, pbest_fit, gbest, gbest_fit,
                      params, evaluate, rng):
     """A BPSO sweep one Python float at a time, updating the lists in place."""
     w, c1, c2 = params.inertia_weight, params.cognitive_factor, params.social_factor
-    clamp = params.velocity_clamp
+    clamp = baselines.VELOCITY_CLAMP
     dim = gbest.size
     for i, x in enumerate(positions):
         v = velocities[i]
@@ -259,7 +259,7 @@ def list_fsro_step(pop, params, evaluate, rng):
 
     sizes = {True: len(pop.group(True)), False: len(pop.group(False))}
     for frog in (True, False):
-        if sizes[frog] > params.ess_threshold:
+        if sizes[frog] > engine.ESS_THRESHOLD:
             continue
         pop.agents.append(ListAgent(pop.best_mask.copy(), frog, pop.best_fitness))
         donors = pop.group(not frog)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,8 +45,18 @@ def test_params_validation():
         GaParams(crossover_rate=1.5)
     with pytest.raises(ConfigError):
         GaParams(mutation_rate=-0.1)
-    with pytest.raises(ConfigError):
-        BpsoParams(velocity_clamp=0.0)
+
+
+@pytest.mark.parametrize("cls,field,value,message", [
+    (GaParams, "population_size", 1, "population_size must be >= 2, got 1"),
+    (GaParams, "max_iterations", -1, "max_iterations must be >= 0, got -1"),
+    (BpsoParams, "population_size", 0, "population_size must be >= 1, got 0"),
+    (BpsoParams, "max_iterations", -1, "max_iterations must be >= 0, got -1"),
+])
+def test_params_reject_too_few_rows_or_iterations(cls, field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cls(**{field: value})
+    assert getattr(cls(**{field: value + 1}), field) == value + 1
 
 
 def test_sigmoid_values():

@@ -66,6 +66,16 @@ def _tiny_experiment(m_runs, workers, base_seed=7):
                           FitnessParams(), m_runs, base_seed, workers=workers)
 
 
+def test_zero_runs_are_rejected():
+    with pytest.raises(ConfigError, match="^need at least one run, got 0$"):
+        _tiny_experiment(0, 1)
+
+
+def test_summarize_rejects_an_empty_list_of_runs():
+    with pytest.raises(ValueError, match="^cannot summarize an empty list of runs$"):
+        bench.summarize([], 4)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_fewer_than_one_worker_is_rejected(workers):
     with pytest.raises(ConfigError, match="worker"):

@@ -9,6 +9,7 @@ next_raw, and with it at 0, so even a one-draw block steps numpy lanes.
 
 import math
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def run_both_sweeps(seed, offset, dim, count, params):
     in place and returns the global best."""
     results = []
     for batched in (True, False):
-        lists = swarm(seed, count, dim, params.velocity_clamp)
+        lists = swarm(seed, count, dim, baselines.VELOCITY_CLAMP)
         stream, _ = streams(seed, offset)
         if batched:
             after = bpso_step(*map(np.array, lists[:4]), *lists[4:],
@@ -196,8 +197,8 @@ def run_both_sweeps(seed, offset, dim, count, params):
        minimum=BLOCK_MINS)
 def test_bpso_step_matches_scalar_sweep(seed, offset, dim, count, w, c, clamp, minimum):
     params = BpsoParams(inertia_weight=w, cognitive_factor=c, social_factor=3.0 - c,
-                        velocity_clamp=clamp, population_size=count)
-    with block_min(minimum):
+                        population_size=count)
+    with block_min(minimum), mock.patch.object(baselines, "VELOCITY_CLAMP", clamp):
         batched, scalar = run_both_sweeps(seed, offset, dim, count, params)
     assert batched == scalar
 

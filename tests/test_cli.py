@@ -2,11 +2,17 @@
 precedence, and the `compare` and `gen` commands."""
 
 import csv
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsro
 import fsro.bench
 from fsro import FitnessParams, FsroParams, RngStream, cli, generate_m_of_n
 from fsro.bench import ALGORITHMS
@@ -301,6 +307,63 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and str(out) in err
 
 
+SPEC_HELP = "(expected m-of-n:R,M,NOISE,INSTANCES)"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--synthetic", "k-of-n:2,1,2,40"],
+     f"bad --synthetic spec 'k-of-n:2,1,2,40' {SPEC_HELP}: unknown synthetic kind 'k-of-n'"),
+    (["run", "--synthetic", "m-of-n:2,1,2"],
+     f"bad --synthetic spec 'm-of-n:2,1,2' {SPEC_HELP}: "
+     "not enough values to unpack (expected 4, got 3)"),
+    (["compare", "--synthetic", "m-of-n", "--algorithms", "ga", "bpso"],
+     f"bad --synthetic spec 'm-of-n' {SPEC_HELP}: "
+     "not enough values to unpack (expected 2, got 1)"),
+    (["run"], "either --dataset or --synthetic is required"),
+    (["compare", "--algorithms", "ga", "bpso"], "either --dataset or --synthetic is required"),
+], ids=["unknown kind", "short spec", "no colon", "no data run", "no data compare"])
+def test_bad_or_missing_data_source_exits_2_with_one_error_line(argv, message, tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    code, err = _run([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unreadable_config_exits_2_with_one_error_line(command, tmp_path, capsys):
+    config = tmp_path / "missing.cfg"
+    code, err = _run([command, *TINY, "--config", str(config)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read config file {config}: ")
+    assert err.count("\n") == 1 and "No such file" in err
+
+
+def test_too_many_neighbors_raised_in_a_pool_worker_exits_2(tmp_path, capsys):
+    # each run builds its evaluator in the worker; the pool re-raises its error
+    out = tmp_path / "out"
+    code, err = _run(["run", *TINY, "--runs", "2", "--iterations", "1", "--knn-k", "1000",
+                      "--workers", "2", "--out", str(out)], capsys)
+    assert code == 2
+    assert re.fullmatch(r"error: k_neighbors=1000 exceeds training size \d+\n", err)
+    assert not out.exists()
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(fsro.__file__).parents[1])}
+    bad = subprocess.run([sys.executable, "-m", "fsro.cli", "gen", "--synthetic", "m-of-n:2,1",
+                          "--out", str(tmp_path / "x.csv")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: bad --synthetic spec") and bad.stderr.count("\n") == 1
+    good = subprocess.run([sys.executable, "-m", "fsro.cli", "gen", "--synthetic",
+                           "m-of-n:2,1,2,40", "--out", str(tmp_path / "x.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert good.returncode == 0 and good.stderr == ""
+    assert load_csv(tmp_path / "x.csv").n_instances == 40
+
+
 def _set_every_flag(cls, command):
     """Parse `command` with each flag of a `cls` field set off its class
     default; return the params built and the values set."""
@@ -323,7 +386,7 @@ def test_every_algorithm_flag_sets_its_params_field(name):
     cls = ALGORITHMS[name]
     for command in ("run", "compare"):
         params, want = _set_every_flag(cls, command)
-        assert set(want) == {f.name for f in fields(cls)} - {"ess_threshold", "velocity_clamp"}
+        assert set(want) == {f.name for f in fields(cls)}
         assert {f: getattr(params, f) for f in want} == want
 
 

@@ -146,6 +146,19 @@ def test_m_of_n_invalid_m():
         generate_m_of_n(3, 4, 2, 100, RngStream(0))
 
 
+@pytest.mark.parametrize("n_noise,n_instances", [(-1, 100), (2, 3), (2, 0)])
+def test_m_of_n_rejects_negative_noise_or_fewer_than_4_instances(n_noise, n_instances):
+    with pytest.raises(ConfigError, match="^need n_noise >= 0 and at least 4 instances$"):
+        generate_m_of_n(3, 2, n_noise, n_instances, RngStream(0))
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+def test_stratified_split_rejects_train_fraction_outside_the_open_unit_interval(fraction):
+    dataset = generate_m_of_n(2, 1, 2, 40, RngStream(0))
+    with pytest.raises(ConfigError, match=rf"^train_fraction must be in \(0,1\), got {fraction}$"):
+        stratified_split(dataset, fraction, RngStream(0))
+
+
 # load_csv behaviour, pinned: messages, 0-based data-row and column numbers,
 # and which error wins when several apply.
 

@@ -58,6 +58,18 @@ def test_initialize_rejects_bad_population_size():
         FsroParams(population_size=2)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("max_iterations", -1, "max_iterations must be >= 0, got -1"),
+    ("max_dis", 0.0, "max_dis and decision_dis must be positive"),
+    ("max_dis", -80.0, "max_dis and decision_dis must be positive"),
+    ("decision_dis", 0.0, "max_dis and decision_dis must be positive"),
+    ("decision_dis", -6.0, "max_dis and decision_dis must be positive"),
+])
+def test_params_reject_negative_iterations_and_non_positive_distances(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        FsroParams(**{field: value})
+
+
 def test_initialize_single_bit_repairs_to_one():
     pop = initialize(FsroParams(population_size=4), 1, RngStream(3))
     assert pop.solutions.tolist() == [[1]] * 4
@@ -433,15 +445,6 @@ def test_ess_covers_single_member_group():
     pop = make_population(1, 39)
     ess_mutation(pop, 2)
     assert counts(pop) == (2, 38)
-
-
-def test_params_reject_population_below_twice_ess_threshold():
-    for population, threshold in ((4, 3), (6, 4), (8, 5)):
-        with pytest.raises(ConfigError, match="2 \\* ess_threshold"):
-            FsroParams(population_size=population, ess_threshold=threshold)
-    for population, threshold in ((4, 2), (6, 3), (8, 4), (40, 2)):
-        assert FsroParams(population_size=population,
-                          ess_threshold=threshold).ess_threshold == threshold
 
 
 def test_ess_at_twice_the_threshold_lifts_the_thin_group_and_keeps_the_even_split():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -175,6 +176,23 @@ def test_params_validation():
         FitnessParams(alpha=1.5)
     with pytest.raises(ConfigError):
         FitnessParams(k_neighbors=0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+def test_params_reject_train_fraction_outside_the_open_unit_interval(fraction):
+    message = f"train_fraction must be in (0,1), got {fraction}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        FitnessParams(train_fraction=fraction)
+
+
+def test_evaluator_rejects_more_neighbors_than_training_rows(small_m_of_n):
+    split = stratified_split(small_m_of_n, 0.8, RngStream(3))
+    n_train = len(split.train_indices)
+    with pytest.raises(ConfigError,
+                       match=f"^k_neighbors={n_train + 1} exceeds training size {n_train}$"):
+        FitnessEvaluator(small_m_of_n, split, FitnessParams(k_neighbors=n_train + 1))
+    assert FitnessEvaluator(small_m_of_n, split,
+                            FitnessParams(k_neighbors=n_train)).params.k_neighbors == n_train
 
 
 def test_evaluator_bounds_and_cache(small_m_of_n):
