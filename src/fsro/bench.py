@@ -20,7 +20,7 @@ import numpy as np
 from . import blas
 from .baselines import BpsoParams, GaParams
 from .core import ConfigError, RunResult
-from .data import Dataset, stratified_split
+from .data import Dataset, class_train_counts, stratified_split
 from .engine import FsroParams
 from .fitness import FitnessEvaluator, FitnessParams
 from .rng import MASK64, RngStream
@@ -139,6 +139,9 @@ def run_experiment(algorithm: str, dataset: Dataset, algo_params,
     # checked before any run starts; a stream takes seeds in [0, 2**64)
     if seeds[0] < 0 or seeds[-1] > MASK64:
         raise ConfigError(f"run seeds {seeds[0]}..{seeds[-1]} must be in [0, 2**64)")
+    # every run's split has the same train rows per class, so a k that no
+    # run can take fails here, before any run or pool starts
+    fit_params.require_train_rows(sum(class_train_counts(dataset, fit_params.train_fraction)))
     workers = min(workers, m_runs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off one-worker start-up

@@ -334,24 +334,32 @@ def save_csv(dataset: Dataset, path) -> None:
                ([*x, y] for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())))
 
 
+def class_train_counts(dataset: Dataset, train_fraction: float) -> list[int]:
+    """Train instances of each class, in label order, in every
+    `stratified_split` of dataset at train_fraction: the class's fraction
+    rounded half up, then clamped so both sides keep at least one instance.
+
+    The class counts fix them, whatever the stream, so they are known before
+    any split is drawn.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0,1), got {train_fraction}")
+    _validate_classes(dataset.labels, dataset.name)
+    return [min(max(int(np.floor(train_fraction * n_c + 0.5)), 1), n_c - 1)
+            for n_c in np.bincount(dataset.labels).tolist()]
+
+
 def stratified_split(dataset: Dataset, train_fraction: float, rng: RngStream) -> Split:
     """Per-class random split hitting train_fraction, both partitions non-empty.
 
     Classes are processed in label order and each class's indices are shuffled
     with the stream, so the split is a pure function of (dataset, seed).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0,1), got {train_fraction}")
-    _validate_classes(dataset.labels, dataset.name)
     train: list[int] = []
     test: list[int] = []
-    for c in range(dataset.n_classes):
+    for c, n_train in enumerate(class_train_counts(dataset, train_fraction)):
         idx = [int(i) for i in np.flatnonzero(dataset.labels == c)]
         rng.shuffle(idx)
-        n_c = len(idx)
-        # round half up, then clamp so both sides keep at least one instance
-        n_train = int(np.floor(train_fraction * n_c + 0.5))
-        n_train = min(max(n_train, 1), n_c - 1)
         train.extend(idx[:n_train])
         test.extend(idx[n_train:])
     return Split(

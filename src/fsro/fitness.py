@@ -107,19 +107,10 @@ class FitnessParams:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
 
-
-def minmax_normalize(train: np.ndarray, apply_to: np.ndarray) -> np.ndarray:
-    """Scale columns of apply_to by (x - min)/(max - min) of the training data.
-
-    Constant training columns map to 0. Values outside the training range are
-    not clamped, so test features may fall outside [0, 1].
-    """
-    lo = train.min(axis=0)
-    span = train.max(axis=0) - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    out = (apply_to - lo) / safe
-    out[:, span == 0.0] = 0.0
-    return out
+    def require_train_rows(self, n_train: int) -> None:
+        """Raise unless a split with n_train train rows has k_neighbors of them."""
+        if self.k_neighbors > n_train:
+            raise ConfigError(f"k_neighbors={self.k_neighbors} exceeds training size {n_train}")
 
 
 # Largest buffer that one block of test rows may use, about one core's L2
@@ -349,7 +340,11 @@ class FitnessEvaluator:
 
     It holds the split, normalized once and feature-major: C-contiguous
     (n_features, n_test) and (n_features, n_train) row arrays, of which
-    `test_x` and `train_x` are transposed views, not second copies. It also
+    `test_x` and `train_x` are transposed views, not second copies. Each
+    side is gathered from the dataset's rows into its array, which is then
+    min-max scaled in place by the train rows: x becomes (x - min) / (max -
+    min) per feature, a feature constant over the train rows becomes 0, and
+    test values outside the train range are not clamped. It also
     holds the labels, the neighbor path chosen once by `_is_binary`
     (`_key_dtype` is None on the float path), the bit path's packed rows and
     the mask cache, a plain dict of (error, fitness) by mask bytes. How each
@@ -376,19 +371,21 @@ class FitnessEvaluator:
     """
 
     def __init__(self, dataset: Dataset, split: Split, params: FitnessParams):
+        params.require_train_rows(len(split.train_indices))
         self.params = params
-        train_raw = dataset.features[split.train_indices]
-        test_raw = dataset.features[split.test_indices]
-        self._train_rows = np.ascontiguousarray(minmax_normalize(train_raw, train_raw).T)
-        self._test_rows = np.ascontiguousarray(minmax_normalize(train_raw, test_raw).T)
-        self.train_x = self._train_rows.T
-        self.test_x = self._test_rows.T
+        self._train_rows = np.ascontiguousarray(dataset.features[split.train_indices].T)
+        self._test_rows = np.ascontiguousarray(dataset.features[split.test_indices].T)
+        lo = self._train_rows.min(axis=1, keepdims=True)
+        span = self._train_rows.max(axis=1, keepdims=True) - lo
+        flat = span[:, 0] == 0.0
+        span[flat] = 1.0
+        for rows in (self._train_rows, self._test_rows):
+            rows -= lo
+            rows /= span
+            rows[flat] = 0.0
+        self.train_x, self.test_x = self._train_rows.T, self._test_rows.T
         self.train_y = dataset.labels[split.train_indices]
         self.test_y = dataset.labels[split.test_indices]
-        if params.k_neighbors > self.train_x.shape[0]:
-            raise ConfigError(
-                f"k_neighbors={params.k_neighbors} exceeds training size {self.train_x.shape[0]}"
-            )
         self.n_features = dataset.n_features
         self.n_classes = dataset.n_classes
         # the bit path's key dtype and packed rows, or None for the float path

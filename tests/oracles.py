@@ -347,6 +347,21 @@ def error_rate(train_x, train_y, test_x, test_y, k, mask):
     return float(np.mean(pred != test_y))
 
 
+def minmax_scaled(train_rows, rows):
+    """Each value x of rows as (x - min) / (max - min), min and max being its
+    feature's over train_rows, one Python float at a time. A feature that is
+    constant over the train rows gives 0.0; nothing is clamped to [0, 1]."""
+    train_rows = [[float(v) for v in row] for row in train_rows]
+    bounds = [(min(column), max(column)) for column in zip(*train_rows)]
+    out = []
+    for row in rows:
+        scaled = []
+        for (lo, hi), x in zip(bounds, row):
+            scaled.append(0.0 if hi == lo else (float(x) - lo) / (hi - lo))
+        out.append(scaled)
+    return np.array(out, dtype=np.float64)
+
+
 def new_mask(bits) -> np.ndarray:
     """Build a validated mask from any 0/1 sequence."""
     arr = np.asarray(bits, dtype=np.uint8)

@@ -98,6 +98,22 @@ def test_run_seeds_outside_the_stream_range_fail_before_any_run(base_seed, m_run
     assert started == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_too_many_neighbors_fail_before_any_run_or_pool(workers, monkeypatch):
+    started, pools = [], []
+    monkeypatch.setattr(bench, "run_single", lambda *args: started.append(args[-1]))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: pools.append(args))
+    dataset = generate_m_of_n(2, 1, 2, 40, RngStream(3))
+    n_train = len(bench.stratified_split(dataset, 0.8, RngStream(7)).train_indices)
+    # the evaluator's message, from the train size every run's split has
+    with pytest.raises(ConfigError,
+                       match=f"^k_neighbors={n_train + 1} exceeds training size {n_train}$"):
+        run_experiment("ga", dataset, GaParams(population_size=4, max_iterations=1),
+                       FitnessParams(k_neighbors=n_train + 1), 3, 7, workers=workers)
+    assert started == [] and pools == []
+
+
 def test_last_run_seed_below_2_64_is_accepted():
     results, _ = _tiny_experiment(3, 1, 2**64 - 3)
     assert [r.seed for r in results] == [2**64 - 3, 2**64 - 2, 2**64 - 1]

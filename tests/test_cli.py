@@ -1,6 +1,7 @@
 """`fsro` command line: error paths (`error: ...` and exit 2), config-file
 precedence, and the `compare` and `gen` commands."""
 
+import concurrent.futures
 import csv
 import os
 import re
@@ -340,13 +341,17 @@ def test_unreadable_config_exits_2_with_one_error_line(command, tmp_path, capsys
     assert err.count("\n") == 1 and "No such file" in err
 
 
-def test_too_many_neighbors_raised_in_a_pool_worker_exits_2(tmp_path, capsys):
-    # each run builds its evaluator in the worker; the pool re-raises its error
+def test_too_many_neighbors_exit_2_before_a_pool_starts(tmp_path, capsys, monkeypatch):
+    # the train size is known from the class counts, so no worker is started
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: pools.append(args))
     out = tmp_path / "out"
     code, err = _run(["run", *TINY, "--runs", "2", "--iterations", "1", "--knn-k", "1000",
                       "--workers", "2", "--out", str(out)], capsys)
     assert code == 2
     assert re.fullmatch(r"error: k_neighbors=1000 exceeds training size \d+\n", err)
+    assert pools == []
     assert not out.exists()
 
 

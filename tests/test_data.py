@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fsro.data as data_module
 from fsro import DataError, RngStream, generate_m_of_n, load_csv, save_csv
 from fsro.core import ConfigError
-from fsro.data import Dataset, stratified_split
+from fsro.data import Dataset, class_train_counts, stratified_split
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -97,6 +97,18 @@ def test_split_never_empties_a_class_partition(small_m_of_n):
     split = stratified_split(small_m_of_n, 0.95, RngStream(3))
     test_labels = set(small_m_of_n.labels[split.test_indices])
     assert test_labels == set(range(small_m_of_n.n_classes))
+
+
+@given(counts=st.lists(st.integers(2, 40), min_size=2, max_size=4),
+       fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_class_train_counts_are_every_splits_per_class_train_counts(counts, fraction, seed):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    ds = Dataset("classes", np.zeros((labels.size, 1)), labels)
+    split = stratified_split(ds, fraction, RngStream(seed))
+    assert class_train_counts(ds, fraction) == np.bincount(labels[split.train_indices],
+                                                           minlength=len(counts)).tolist()
 
 
 def test_split_deterministic(bench_m_of_n):

@@ -13,28 +13,44 @@ from conftest import make_evaluator
 from fsro import FitnessParams, RngStream, blas, fitness, generate_m_of_n
 from fsro.core import ConfigError
 from fsro.data import Dataset, Split, load_csv, stratified_split
-from fsro.fitness import FitnessEvaluator, fitness_value, minmax_normalize
-from oracles import brute_error_rate, brute_knn_classify, error_rate, knn_predict, new_mask
+from fsro.fitness import FitnessEvaluator, fitness_value
+from oracles import (brute_error_rate, brute_knn_classify, error_rate, knn_predict,
+                     minmax_scaled, new_mask)
+
+
+def _assert_scaled_like_the_oracle(evaluator, train_raw, test_raw):
+    """The evaluator's rows equal `minmax_scaled`'s, bit for bit."""
+    for got, raw in ((evaluator.train_x, train_raw), (evaluator.test_x, test_raw)):
+        want = minmax_scaled(train_raw, raw)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _scaled_rows(train, test):
+    """The evaluator's (train_x, test_x) for these train and test rows,
+    checked against the min-max oracle."""
+    features = np.array([*train, *test], dtype=np.float64)
+    split = Split(np.arange(len(train)), np.arange(len(train), len(features)))
+    dataset = Dataset("rows", features, np.arange(len(features)) % 2)
+    evaluator = FitnessEvaluator(dataset, split, FitnessParams(k_neighbors=1))
+    _assert_scaled_like_the_oracle(evaluator, train, test)
+    return evaluator.train_x, evaluator.test_x
 
 
 def test_normalize_midpoint():
-    train = np.array([[0.0], [10.0]])
-    out = minmax_normalize(train, np.array([[5.0]]))
-    assert out[0, 0] == 0.5
+    _, test_x = _scaled_rows([[0.0], [10.0]], [[5.0]])
+    assert test_x[0, 0] == 0.5
 
 
 def test_normalize_constant_column_maps_to_zero():
-    train = np.array([[3.0, 1.0], [3.0, 2.0]])
-    out = minmax_normalize(train, train)
-    assert np.all(out[:, 0] == 0.0)
+    train_x, test_x = _scaled_rows([[3.0, 1.0], [3.0, 2.0]], [[4.0, 1.5], [-1.0, 3.0]])
+    assert np.all(train_x[:, 0] == 0.0) and np.all(test_x[:, 0] == 0.0)
+    assert test_x[:, 1].tolist() == [0.5, 2.0]
 
 
 def test_normalize_endpoints_and_no_clamping():
-    train = np.array([[0.0], [4.0]])
-    out = minmax_normalize(train, np.array([[4.0], [8.0], [-2.0]]))
-    assert out[0, 0] == 1.0
-    assert out[1, 0] == 2.0
-    assert out[2, 0] == -0.5
+    train_x, test_x = _scaled_rows([[0.0], [4.0]], [[4.0], [8.0], [-2.0]])
+    assert train_x[:, 0].tolist() == [0.0, 1.0]
+    assert test_x[:, 0].tolist() == [1.0, 2.0, -0.5]
 
 
 def test_knn_exact_match_wins_at_k1():
@@ -873,19 +889,25 @@ def test_blas_thread_count_cannot_change_outputs(kind):
     assert outputs[1] == outputs[default]
 
 
-def _integer_levels_dataset():
-    """699 x 9 values at the integer levels 1-10, with labels drawn per row.
+def _integer_levels_dataset(rows, features, low, high, seed):
+    """rows x features values at the integer levels low..high, with labels
+    drawn per row, so exact distances tie often.
 
-    Levels normalize to multiples of 1/9, which no power of two divides, so
-    exact distances tie often while the screen's sums round."""
-    g = np.random.default_rng(2026)
-    return Dataset("levels", g.integers(1, 11, size=(699, 9)).astype(np.float64),
-                   g.integers(0, 2, size=699).astype(np.int64))
+    Levels 1-10 normalize to multiples of 1/9, which no power of two
+    divides, so the screen's sums round too; levels 0-4 and 0-2 normalize
+    to multiples of 1/4 and 1/2, whose sums are exact."""
+    g = np.random.default_rng(seed)
+    return Dataset("levels", g.integers(low, high + 1, size=(rows, features)).astype(np.float64),
+                   g.integers(0, 2, size=rows).astype(np.int64))
 
 
 GOLDEN_REAL_CSV = Path(__file__).parent / "data" / "real_small.csv"
 ROUNDING_SPLITS = {
-    "levels": lambda: make_evaluator(_integer_levels_dataset(), seed=8)[0],
+    "levels": lambda: make_evaluator(_integer_levels_dataset(699, 9, 1, 10, 2026), seed=8)[0],
+    "levels_400x40": lambda: make_evaluator(_integer_levels_dataset(400, 40, 0, 4, 2027),
+                                            seed=8)[0],
+    "levels_300x60": lambda: make_evaluator(_integer_levels_dataset(300, 60, 0, 2, 2028),
+                                            seed=8)[0],
     # the golden `real` case's split: run 0 draws it from the CLI seed
     "golden_real": lambda: make_evaluator(load_csv(GOLDEN_REAL_CSV), seed=5)[0],
 }
@@ -905,6 +927,19 @@ def _reversed_matmul(x, y, out=None):
     result = np.zeros((x.shape[0], y.shape[1]))
     for j in reversed(range(x.shape[1])):
         result += np.multiply.outer(x[:, j], y[j])
+    return _returned(result, out)
+
+
+def _blocked_matmul(x, y, out=None, tile=4):
+    """x @ y with each tile of `tile` contraction terms summed on its own, in
+    order, and the tile sums then added in order."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    result = np.zeros((x.shape[0], y.shape[1]))
+    for lo in range(0, x.shape[1], tile):
+        part = np.zeros_like(result)
+        for j in range(lo, min(lo + tile, x.shape[1])):
+            part += np.multiply.outer(x[:, j], y[j])
+        result += part
     return _returned(result, out)
 
 
@@ -929,6 +964,7 @@ def _rounding_wrappers(real_matmul):
     g = np.random.default_rng(19)
     return {
         "reversed": _reversed_matmul,
+        "blocked": _blocked_matmul,
         "up": _perturbed_matmul(real_matmul, np.ones),
         "down": _perturbed_matmul(real_matmul, lambda shape: -np.ones(shape)),
         "random": _perturbed_matmul(real_matmul,
@@ -936,7 +972,7 @@ def _rounding_wrappers(real_matmul):
     }
 
 
-@pytest.mark.parametrize("wrapper", ["reversed", "up", "down", "random"])
+@pytest.mark.parametrize("wrapper", ["reversed", "blocked", "up", "down", "random"])
 @pytest.mark.parametrize("split", sorted(ROUNDING_SPLITS))
 def test_screen_outputs_do_not_depend_on_how_the_blas_sums(split, wrapper, monkeypatch):
     # every product the float path makes goes through np.matmul: its sums of
@@ -993,17 +1029,27 @@ def _retained_numpy_bytes(action):
     return result, sum(s.size_diff for s in after.compare_to(before, "filename"))
 
 
-@pytest.mark.parametrize("kind", sorted(KERNEL_DATASETS))
+def _constant_feature_dataset():
+    """The continuous dataset with feature 3 at one value on every row."""
+    dataset = _continuous_dataset()
+    dataset.features[:, 3] = 2.5
+    return dataset
+
+
+NORMALIZE_DATASETS = {**KERNEL_DATASETS, "constant_feature": _constant_feature_dataset}
+
+
+@pytest.mark.parametrize("kind", sorted(NORMALIZE_DATASETS))
 def test_evaluator_holds_normalized_rows_feature_major(kind):
-    dataset = KERNEL_DATASETS[kind]()
+    dataset = NORMALIZE_DATASETS[kind]()
     params = FitnessParams()
     split = stratified_split(dataset, params.train_fraction, RngStream(6))
     evaluator, retained = _retained_numpy_bytes(
         lambda: FitnessEvaluator(dataset, split, params))
-    train_raw = dataset.features[split.train_indices]
-    test_raw = dataset.features[split.test_indices]
-    assert np.array_equal(evaluator.train_x, minmax_normalize(train_raw, train_raw))
-    assert np.array_equal(evaluator.test_x, minmax_normalize(train_raw, test_raw))
+    _assert_scaled_like_the_oracle(evaluator, dataset.features[split.train_indices],
+                                   dataset.features[split.test_indices])
+    if kind == "continuous":  # split seed 6 puts test values beyond the train range
+        assert evaluator.test_x.min() < 0.0 and evaluator.test_x.max() > 1.0
     # feature-major: each feature's values are one contiguous row
     assert evaluator.train_x.T.flags.c_contiguous
     assert evaluator.test_x.T.flags.c_contiguous
@@ -1024,3 +1070,21 @@ def test_evaluator_holds_normalized_rows_feature_major(kind):
     _, retained = _retained_numpy_bytes(lambda: evaluator.evaluate_all(masks))
     assert len(evaluator._cache) == len({m.tobytes() for m in masks})
     assert retained == 0
+
+
+def test_building_an_evaluator_peaks_below_1_75_times_the_rows_it_keeps():
+    # large's shape, 600 x 500 real values: each side of the split is one
+    # gather and one feature-major copy, then scaled in place
+    g = np.random.default_rng(28)
+    dataset = Dataset("wide", g.standard_normal((600, 500)), np.arange(600) % 2)
+    params = FitnessParams()
+    split = stratified_split(dataset, params.train_fraction, RngStream(1))
+    tracemalloc.start()
+    try:
+        evaluator = FitnessEvaluator(dataset, split, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = evaluator.train_x.nbytes + evaluator.test_x.nbytes
+    assert kept == 8 * 600 * 500
+    assert peak <= 1.75 * kept
