@@ -7,20 +7,23 @@ byte-order mark); the label column may hold arbitrary tokens, which are
 mapped to dense indexes in first-appearance order so that reloading a
 re-serialized file reproduces the same labels.
 
-`load_csv` has two paths that return the same Dataset, bit for bit.
+`load_csv` has two paths that return the same Dataset, bit for bit. Both
+read one UTF-8 text stream of the file, and both read its head (the header,
+the first data row, the width check and the label column) with `_head`.
 
 - The reader: `csv.reader` and one `float()` per feature cell. It takes any
   file, and every load error comes from it or from the helpers it shares.
 - The plain path: one `np.loadtxt` call over the file's non-blank lines,
   whose C parser rounds each cell with the same correctly rounded decimal
   conversion as `float()`. It hands the whole file to the reader, which
-  then gives the result or the error, when the file cannot seek (a pipe),
-  when loadtxt raises (a ragged row, a cell that is not a number, a missing
-  label, bytes that are not UTF-8), when a feature is NaN (the reader reads
-  "nan" as missing), and when a line holds a `"` (the reader's quote), a
-  NUL or one of the separators \x1c-\x1f (loadtxt strips those around a
-  number and `float()` does not) or a cell longer than
-  `csv.field_size_limit()`.
+  then gives the result or the error, when loadtxt raises (a ragged row, a
+  cell that is not a number, a missing label, bytes that are not UTF-8),
+  when a feature is NaN (the reader reads "nan" as missing), and when a
+  line holds a `"` (the reader's quote), a NUL or one of the separators
+  \x1c-\x1f (loadtxt strips those around a number and `float()` does not)
+  or a cell longer than `csv.field_size_limit()`. A hand-over rewinds the
+  stream to the file's start. A file that cannot seek (a pipe) is read
+  once, by the reader.
 
 That the two paths agree is pinned by tests rather than argued: files on
 either side of each rule above, cells at and past the edges of float64's
@@ -106,24 +109,25 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = True) -> Dat
     object per feature cell; any other file, a pipe, and every parse error
     go through `csv.reader` and float(). Both give the same features, bit
     for bit; the module docstring lists the files the plain path refuses.
-    Either way the file is streamed line by line.
+    Either way the file is streamed line by line, through one text stream
+    that a hand-over to the reader rewinds.
     """
     path = str(path)
     try:
         f = open(path, "rb")
     except OSError as e:
         raise DataError(f"{path}: cannot open file: {e.strerror or e}") from e
-    with f:
+    with f, io.TextIOWrapper(f, encoding="utf-8-sig", newline="") as text:
         parsed = None
         if f.seekable():  # a pipe is read once, by the reader
-            parsed = _read_plain(f, path, label_column, has_header)
-            f.seek(0)
+            parsed = _read_plain(text, path, label_column, has_header)
+            # the rewind resets the decoder too, so the reader drops a BOM again
+            text.seek(0)
         if parsed is None:
-            with io.TextIOWrapper(f, encoding="utf-8-sig", newline="") as text:
-                try:
-                    parsed = _read_text(text, path, label_column, has_header)
-                except UnicodeDecodeError as e:
-                    raise DataError(f"{path}: file is not UTF-8 text ({e.reason})") from e
+            try:
+                parsed = _read_text(text, path, label_column, has_header)
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: file is not UTF-8 text ({e.reason})") from e
     features, label_tokens, header, label_idx = parsed
     _check_finite(features, label_idx, path)
 
@@ -184,19 +188,8 @@ def _read_rows(reader, path: str, label_column: int | str, has_header: bool):
     earlier row, and a row with a missing cell is not parsed.
     """
     rows = (row for row in reader if row)
-    first = next(rows, None)
-    if first is None:
-        raise DataError(f"{path}: file is empty")
-
-    header: list[str] | None = None
-    if has_header:
-        header = [c.strip() for c in first]
-        first = next(rows, None)
-        if first is None:
-            raise DataError(f"{path}: no data rows after the header")
-
+    header, first, label_idx = _head(rows, list, path, label_column, has_header)
     n_cols = len(first)
-    label_idx = _layout(header, n_cols, label_column, path)
 
     first_missing: tuple[int, int] | None = None
     bad_rows = 0
@@ -228,49 +221,51 @@ def _read_rows(reader, path: str, label_column: int | str, has_header: bool):
     return features, label_tokens, header, label_idx
 
 
-def _layout(header: list[str] | None, n_cols: int, label_column: int | str,
-            path: str) -> int:
-    """The label column's index, given the header and the first row's width."""
+def _head(rows, cells, path: str, label_column: int | str, has_header: bool):
+    """(header, first data row, label index) from an iterator of non-empty
+    rows, which it leaves at the second data row; `cells` splits a row into
+    its cells. Both paths read their head here."""
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"{path}: file is empty")
+    header: list[str] | None = None
+    if has_header:
+        header = [c.strip() for c in cells(first)]
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows after the header")
+    n_cols = len(cells(first))
     if header is not None and len(header) != n_cols:
-        raise DataError(f"{path}: header has {len(header)} columns "
-                        f"but row 0 has {n_cols}")
-    return _label_index(label_column, header, n_cols, path)
+        raise DataError(f"{path}: header has {len(header)} columns but row 0 has {n_cols}")
+    return header, first, _label_index(label_column, header, n_cols, path)
 
 
-def _read_plain(f, path: str, label_column: int | str, has_header: bool):
-    """_read_rows's result by np.loadtxt, or None when the file needs the
-    reader, which then gives the result or the error."""
-    text = io.TextIOWrapper(f, encoding="utf-8-sig", newline="")
+def _read_plain(text, path: str, label_column: int | str, has_header: bool):
+    """_read_rows's result by np.loadtxt over the lines of `text`, or None
+    when the file needs the reader. `_head` reads the head, as it does for
+    the reader; on None load_csv rewinds `text`, and the reader gives the
+    result or the error from the same stream."""
+    label_tokens: list[str] = []
+
+    def label(cell: str) -> float:
+        token = cell.strip()
+        if token.lower() in MISSING_TOKENS:
+            raise ValueError("missing label")
+        label_tokens.append(token)
+        return 0.0
+
     try:
         lines = _plain_lines(text)
-        first = next(lines, None)
-        header: list[str] | None = None
-        if has_header and first is not None:
-            header = [c.strip() for c in first.split(",")]
-            first = next(lines, None)
-        if first is None:
-            return None
-        try:
-            label_idx = _layout(header, first.count(",") + 1, label_column, path)
-        except (ConfigError, DataError):
-            return None  # the reader may meet another error first
-        label_tokens: list[str] = []
-
-        def label(cell: str) -> float:
-            token = cell.strip()
-            if token.lower() in MISSING_TOKENS:
-                raise ValueError("missing label")
-            label_tokens.append(token)
-            return 0.0
-
+        header, first, label_idx = _head(lines, lambda line: line.split(","), path,
+                                         label_column, has_header)
         # no usecols: with it, loadtxt ignores cells past the last one used
         table = np.loadtxt(itertools.chain((first,), lines), dtype=np.float64, delimiter=",",
                            comments=None, quotechar=None, ndmin=2,
                            converters={label_idx: label})
-    except ValueError:  # UnicodeDecodeError too
+    except ValueError:
+        # UnicodeDecodeError, DataError and ConfigError are ValueErrors too:
+        # the reader gives every error, as it may meet another one first
         return None
-    finally:
-        text.detach()  # leaves f open for the reader
     features = np.delete(table, label_idx, axis=1)
     if np.isnan(features).any():
         return None

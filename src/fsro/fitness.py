@@ -86,6 +86,7 @@ The evaluator finds them by one of two paths, fixed per split:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -97,15 +98,14 @@ from .data import Dataset, Split
 class FitnessParams:
     alpha: float = 0.9
     k_neighbors: int = 5
-    train_fraction: float = 0.8
+    # the train share of every run's stratified split
+    train_fraction: ClassVar[float] = 0.8
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0,1], got {self.alpha}")
         if self.k_neighbors < 1:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
 
     def require_train_rows(self, n_train: int) -> None:
         """Raise unless a split with n_train train rows has k_neighbors of them."""

@@ -309,3 +309,31 @@ def test_pool_without_openblas_gives_the_serial_results(monkeypatch):
     assert _outputs(pooled) == _outputs(serial)
     assert (replace(pooled_summary, average_time=0.0)
             == replace(serial_summary, average_time=0.0))
+
+
+def test_blas_without_a_loadable_openblas_finds_nothing(tmp_path, monkeypatch):
+    # numpy.libs/ holds a file named like OpenBLAS that is not a library,
+    # and the package has no .dylibs/: threads() is None and set_threads()
+    # leaves numpy's own BLAS as it was
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy.libs").mkdir()
+    (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_text("not a library\n")
+    before = blas.threads()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+            assert blas._openblas_calls() is None and blas.threads() is None
+            blas.set_threads(2 if before == 1 else 1)
+        assert blas.threads() == before
+    finally:
+        if before is not None:
+            blas.set_threads(before)
+
+
+def test_cpu_count_without_sched_getaffinity_is_os_cpu_count_or_one(monkeypatch):
+    # macOS and Windows have no sched_getaffinity; os.cpu_count() may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert bench._cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert bench._cpu_count() == 1

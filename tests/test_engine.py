@@ -75,6 +75,11 @@ def test_initialize_single_bit_repairs_to_one():
     assert pop.solutions.tolist() == [[1]] * 4
 
 
+def test_initialize_rejects_a_dimension_below_one():
+    with pytest.raises(ConfigError, match="^dimension must be >= 1, got 0$"):
+        initialize(FsroParams(), 0, RngStream(1))
+
+
 def test_initialize_bit_frequency():
     total = ones = 0
     for seed in range(1000):
@@ -123,6 +128,16 @@ def test_two_point_segment_rule_holds():
 def test_two_point_length_mismatch():
     with pytest.raises(ValueError):
         two_point_crossover(ZEROS6, new_mask([1, 0]), RngStream(0))
+
+
+def test_two_point_needs_two_positions():
+    with pytest.raises(ValueError, match="^two-point crossover needs at least 2 positions$"):
+        two_point_crossover(new_mask([0]), new_mask([1]), RngStream(0))
+
+
+def test_uniform_length_mismatch():
+    with pytest.raises(ValueError, match=r"^parent lengths differ: \(6,\) vs \(2,\)$"):
+        uniform_crossover(ZEROS6, new_mask([1, 0]), RngStream(0))
 
 
 def test_uniform_hand_case():
@@ -222,6 +237,11 @@ def test_distance_symmetric_and_bounded():
         assert dist == frog_snake_distance(b, a, 80.0)
         assert 0.0 <= dist <= 80.0
         assert (dist == 0.0) == np.array_equal(a, b)
+
+
+def test_distance_length_mismatch():
+    with pytest.raises(ValueError, match=r"^solution lengths differ: \(6,\) vs \(2,\)$"):
+        frog_snake_distance(ZEROS6, new_mask([1, 0]), 80.0)
 
 
 def test_order_thresholds():
@@ -459,6 +479,14 @@ def test_ess_below_twice_the_threshold_cannot_lift_the_thin_group():
     pop = make_population(1, 3)
     ess_mutation(pop, 3)
     assert counts(pop) == (1, 3)
+
+
+def test_ess_needs_a_global_best():
+    pop = make_population(1, 5)
+    pop.global_best_mask = None
+    message = "mutation needs a global best; evaluate the population first"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ess_mutation(pop, 2)
 
 
 # --- pairing ---------------------------------------------------------------
