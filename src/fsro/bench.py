@@ -13,6 +13,8 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,27 +190,6 @@ def summarize(results: list[RunResult], total_features: int) -> ExperimentSummar
     )
 
 
-def _signed_ranks(diffs: list[float]) -> tuple[list[int], list[int]]:
-    """Ranks of |d| (average ranks for ties) scaled by 2 so they stay integers.
-
-    Returns (scaled ranks, tie-group sizes).
-    """
-    order = sorted(range(len(diffs)), key=lambda i: abs(diffs[i]))
-    scaled = [0] * len(diffs)
-    ties = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and abs(diffs[order[j]]) == abs(diffs[order[i]]):
-            j += 1
-        # average of ranks i+1..j, doubled: (i+1 + j)
-        for k in range(i, j):
-            scaled[order[k]] = i + 1 + j
-        ties.append(j - i)
-        i = j
-    return scaled, ties
-
-
 def _exact_p(scaled_ranks: list[int], w_scaled: int) -> float:
     """P(min(W+, W-) <= observed) over all equally likely sign assignments."""
     total = sum(scaled_ranks)
@@ -222,13 +203,16 @@ def _exact_p(scaled_ranks: list[int], w_scaled: int) -> float:
     return hits / (1 << len(scaled_ranks))
 
 
-def _normal_p(scaled_ranks: list[int], ties: list[int], w_scaled: int) -> float:
+def _normal_p(scaled_ranks: list[int], w_scaled: int) -> float:
     m = len(scaled_ranks)
     w = w_scaled / 2.0
     mean = m * (m + 1) / 4.0
+    # a tie group shares one rank and distinct groups have distinct ranks,
+    # so the times a rank occurs is its group's size
+    ties = Counter(scaled_ranks).values()
     var = m * (m + 1) * (2 * m + 1) / 24.0 - sum(t**3 - t for t in ties) / 48.0
     z = (w - mean + 0.5) / math.sqrt(var)
-    return min(1.0, 2.0 * 0.5 * math.erfc(-z / math.sqrt(2.0)))
+    return min(1.0, math.erfc(-z / math.sqrt(2.0)))
 
 
 def wilcoxon_signed_rank(sample_a, sample_b, alpha: float = 0.05) -> tuple[float, Decision]:
@@ -244,12 +228,15 @@ def wilcoxon_signed_rank(sample_a, sample_b, alpha: float = 0.05) -> tuple[float
     diffs = [x - y for x, y in zip(a, b) if x != y]
     if not diffs:
         return 1.0, Decision.NO_DIFFERENCE
-    scaled, ties = _signed_ranks(diffs)
+    # average ranks of |d|, doubled so they stay integers: a tie group fills
+    # the sorted positions [lo, hi), whose ranks lo+1..hi average to
+    # (lo + 1 + hi) / 2
+    ordered = sorted(map(abs, diffs))
+    scaled = [bisect_left(ordered, abs(d)) + 1 + bisect_right(ordered, abs(d)) for d in diffs]
     w_plus = sum(r for r, d in zip(scaled, diffs) if d > 0)
-    w_minus = sum(r for r, d in zip(scaled, diffs) if d < 0)
-    w_scaled = min(w_plus, w_minus)
+    w_scaled = min(w_plus, sum(scaled) - w_plus)
     if len(diffs) <= EXACT_LIMIT:
         p = _exact_p(scaled, w_scaled)
     else:
-        p = _normal_p(scaled, ties, w_scaled)
+        p = _normal_p(scaled, w_scaled)
     return p, (Decision.SIGNIFICANT if p < alpha else Decision.NO_DIFFERENCE)

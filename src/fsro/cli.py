@@ -9,6 +9,14 @@ A run's test_accuracy in runs.csv (and average_accuracy in summary.csv, its
 mean) is the best mask's accuracy on the same held-out split that the
 search's fitness scored. It is not measured on rows the search never saw,
 so it is an optimistic estimate of generalization.
+
+`compare` runs two algorithms on the same seeds, so run k of each sees the
+same split, and tests the pairs with a two-sided Wilcoxon signed-rank test.
+paired.csv holds each run seed's best fitness per algorithm; comparison.csv
+holds the p-value and the paper's +/- decision at significance level 0.05
+('+' when p < 0.05). The p-value is exact enumeration up to
+bench.EXACT_LIMIT (20) nonzero differences, and a tie-corrected normal
+approximation beyond.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import ALGORITHMS, run_experiment, wilcoxon_signed_rank
+from .bench import ALGORITHMS, EXACT_LIMIT, run_experiment, wilcoxon_signed_rank
 from .core import ConfigError, DataError, RunResult, mask_string
 from .data import Dataset, generate_m_of_n, load_csv, save_csv, write_rows
 from .fitness import FitnessParams
@@ -202,36 +210,38 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="fsro",
         description="Frog-snake prey-predation optimization for feature selection",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    sub_map = {}
 
     run_p = subs.add_parser("run", help="run one algorithm over M seeded runs")
     _add_data_flags(run_p)
     _add_run_flags(run_p)
     run_p.add_argument("--algorithm", choices=ALGORITHMS, default="fsro")
     run_p.set_defaults(func=cmd_run)
-    sub_map["run"] = run_p
 
-    cmp_p = subs.add_parser("compare", help="run two algorithms on identical seeds")
+    cmp_p = subs.add_parser("compare", help="run two algorithms on identical seeds", description=(
+        "Run two algorithms on identical seeds. paired.csv gets each run seed's best fitness "
+        "per algorithm; comparison.csv gets the two-sided paired Wilcoxon signed-rank "
+        "p-value and the decision, '+' when p < 0.05 (a significance level, not --alpha). "
+        f"The p-value is exact up to {EXACT_LIMIT} nonzero differences and a tie-corrected "
+        "normal approximation beyond."))
     _add_data_flags(cmp_p)
     _add_run_flags(cmp_p)
     cmp_p.add_argument("--algorithms", nargs=2, choices=ALGORITHMS,
                        metavar=("ALGO_A", "ALGO_B"))
     cmp_p.set_defaults(func=cmd_compare)
-    sub_map["compare"] = cmp_p
 
     gen_p = subs.add_parser("gen", help="write a synthetic dataset to CSV")
     gen_p.add_argument("--synthetic", required=True, help="e.g. m-of-n:6,3,7,1000")
     gen_p.add_argument("--seed", type=int, default=1)
     gen_p.add_argument("--out", required=True, help="output CSV path")
     gen_p.set_defaults(func=cmd_gen)
-    sub_map["gen"] = gen_p
 
-    return parser, sub_map
+    return parser, subs.choices
 
 
 def _config_args(sub: argparse.ArgumentParser, path: str) -> list[str]:

@@ -133,14 +133,14 @@ def draw_rows(rng: RngStream, count: int, width: int, build) -> list[np.ndarray]
 def random_masks(count: int, dim: int, rng: RngStream) -> np.ndarray:
     """(count, dim) uint8 masks of one fair bit per position, each row
     followed by its zero-mask repair. A bit is raw & 1: bit() never rejects."""
+    if dim < 1:
+        raise ConfigError(f"dimension must be >= 1, got {dim}")
     masks, = draw_rows(rng, count, dim, lambda first, raws: ((raws & 1).astype(np.uint8),))
     return masks
 
 
 def initialize(params: FsroParams, dim: int, rng: RngStream) -> PopulationState:
     """Uniform random population, half frogs half snakes, every mask non-empty."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
     n = params.population_size
     return PopulationState(solutions=random_masks(n, dim, rng), frog=np.arange(n) < n // 2,
                            fitness=np.full(n, np.nan), frog_share=0.5, snake_share=0.5)

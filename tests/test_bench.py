@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsro import FitnessParams, RngStream, bench, blas, generate_m_of_n
 from fsro.baselines import GaParams
@@ -37,6 +39,25 @@ def test_exact_branch_matches_enumeration_oracle():
         p, decision = wilcoxon_signed_rank(a, b)
         assert p == wilcoxon_enum_p(a, b)
         assert decision is (Decision.SIGNIFICANT if p < 0.05 else Decision.NO_DIFFERENCE)
+
+
+# up to 60 pairs on a grid of 3 to 7 levels in steps of 1/q: most |differences|
+# tie, many are zero, and both branches occur (above and below EXACT_LIMIT)
+TIED_PAIRS = st.tuples(st.integers(3, 7), st.integers(1, 60)).flatmap(lambda shape: st.lists(
+    st.tuples(st.integers(0, shape[0]), st.integers(0, shape[0])),
+    min_size=shape[1], max_size=shape[1]))
+
+
+@settings(deadline=None)
+@given(pairs=TIED_PAIRS, q=st.sampled_from([4, 10, 35]), data=st.data())
+def test_permuting_or_swapping_the_pairs_keeps_p_and_decision(pairs, q, data):
+    a, b = [x / q for x, _ in pairs], [y / q for _, y in pairs]
+    p, decision = wilcoxon_signed_rank(a, b)
+    assert 0.0 < p <= 1.0
+    assert decision is (Decision.SIGNIFICANT if p < 0.05 else Decision.NO_DIFFERENCE)
+    order = data.draw(st.permutations(range(len(pairs))))
+    assert wilcoxon_signed_rank([a[i] for i in order], [b[i] for i in order]) == (p, decision)
+    assert wilcoxon_signed_rank(b, a) == (p, decision)
 
 
 def test_identical_samples_give_p_one():

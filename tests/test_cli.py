@@ -16,7 +16,7 @@ import pytest
 import fsro
 import fsro.bench
 from fsro import FitnessParams, FsroParams, RngStream, cli, generate_m_of_n
-from fsro.bench import ALGORITHMS
+from fsro.bench import ALGORITHMS, EXACT_LIMIT
 from fsro.cli import _load_dataset, _params, build_parser, main
 from fsro.data import load_csv
 
@@ -247,6 +247,18 @@ def test_dataset_and_synthetic_exclude_each_other(command, file_line, argv, tmp_
     assert exit_.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_help_names_its_outputs_and_p_value(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in ("paired.csv gets each run seed's best fitness per algorithm",
+                   "comparison.csv gets the two-sided paired Wilcoxon signed-rank p-value",
+                   "'+' when p < 0.05",
+                   f"exact up to {EXACT_LIMIT} nonzero differences"):
+        assert phrase in text
 
 
 def test_compare_one_algorithm_twice_exits_2(tmp_path, capsys):

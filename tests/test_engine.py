@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_evaluator, mismatch_fitness
+from fsro.bench import ALGORITHMS
 from fsro.core import ConfigError, PopulationState
 from fsro.engine import (
     _evaluate,
@@ -75,9 +76,14 @@ def test_initialize_single_bit_repairs_to_one():
     assert pop.solutions.tolist() == [[1]] * 4
 
 
-def test_initialize_rejects_a_dimension_below_one():
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_search_rejects_a_dimension_below_one(name):
+    # all three draw their first population with random_masks, which checks
+    def evaluate(masks):
+        raise AssertionError("a zero-feature search evaluated a mask")
+
     with pytest.raises(ConfigError, match="^dimension must be >= 1, got 0$"):
-        initialize(FsroParams(), 0, RngStream(1))
+        ALGORITHMS[name]().search(0, evaluate, RngStream(1))
 
 
 def test_initialize_bit_frequency():

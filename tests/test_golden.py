@@ -10,6 +10,13 @@ workers, with a BLOCK_BYTES small enough that every batch is over budget
 and run in several blocks of test rows, and with BLOCK_BYTES at 0, which
 scores every batch one test row per block.
 
+Each dataset also has one `fsro compare` case of FSRO against GA over 25
+runs, whose paired.csv and comparison.csv are committed under
+tests/data/golden/<case>/compare/. The m-of-n case has 16 nonzero paired
+differences, so its p-value comes from exact enumeration; the real-valued
+case has 21, above EXACT_LIMIT, so it comes from the normal approximation.
+Both are checked at one and two workers.
+
 The fixture changes only on purpose, together with a note saying why. To
 re-freeze it, run this file as a script from the repository root:
 
@@ -25,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from fsro import fitness
+from fsro.bench import EXACT_LIMIT
 from fsro.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -36,6 +44,9 @@ DATASETS = {
     "real": ["--dataset", "real_small.csv", "--seed", "5"],
 }
 CASES = [(data, algo) for data in DATASETS for algo in ("fsro", "ga", "bpso")]
+COMPARE = ["--algorithms", "fsro", "ga", "--runs", "25", "--iterations", "4", "--pop-size", "8"]
+# the compare cases' nonzero paired differences: one per p-value branch
+NONZERO = {"mofn": 16, "real": 21}
 # BLOCK_BYTES per over-budget mode. With 48 (m-of-n, 2-byte keys of the bit
 # path) and 57 (real, 8-byte screened distances) training rows, 1 KB holds at
 # most 10 and 2 test rows' buffers, fewer than the 12 and 15 test rows, so
@@ -48,6 +59,11 @@ OVER_BUDGET_BYTES = {"over_budget": 1_000, "over_budget_chunk1": 0}
 def _run_case(data: str, algo: str, out: Path, workers: int = 1) -> None:
     argv = ["run", *DATASETS[data], *SMALL, "--algorithm", algo,
             "--workers", str(workers), "--out", str(out)]
+    assert main(argv) == 0
+
+
+def _run_compare(data: str, out: Path, workers: int = 1) -> None:
+    argv = ["compare", *DATASETS[data], *COMPARE, "--workers", str(workers), "--out", str(out)]
     assert main(argv) == 0
 
 
@@ -72,6 +88,20 @@ def test_cli_replays_golden_outputs(data, algo, mode, tmp_path, monkeypatch):
         assert got[name] == want[name], f"{data}/{algo}/{name} differs from the golden file"
 
 
+@pytest.mark.parametrize("data", DATASETS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_replays_golden_outputs(data, workers, tmp_path, monkeypatch):
+    monkeypatch.chdir(DATA_DIR)
+    _run_compare(data, tmp_path, workers)
+    want = _replay_files(GOLDEN_DIR / data / "compare")
+    assert sorted(want) == ["comparison.csv", "paired.csv"]
+    rows = [line.split(",") for line in want["paired.csv"].decode().splitlines()[1:]]
+    assert len(rows) == 25
+    assert sum(a != b for _, a, b in rows) == NONZERO[data]
+    assert (NONZERO[data] > EXACT_LIMIT) == (data == "real")
+    assert _replay_files(tmp_path) == want
+
+
 def _freeze() -> None:
     os.chdir(DATA_DIR)
     for data, algo in CASES:
@@ -79,6 +109,10 @@ def _freeze() -> None:
         shutil.rmtree(target, ignore_errors=True)
         _run_case(data, algo, target)
         (target / "timings.csv").unlink()
+    for data in DATASETS:
+        target = GOLDEN_DIR / data / "compare"
+        shutil.rmtree(target, ignore_errors=True)
+        _run_compare(data, target)
 
 
 if __name__ == "__main__":
