@@ -13,10 +13,12 @@ so it is an optimistic estimate of generalization.
 `compare` runs two algorithms on the same seeds, so run k of each sees the
 same split, and tests the pairs with a two-sided Wilcoxon signed-rank test.
 paired.csv holds each run seed's best fitness per algorithm; comparison.csv
-holds the p-value and the paper's +/- decision at significance level 0.05
-('+' when p < 0.05). The p-value is exact enumeration up to
-bench.EXACT_LIMIT (20) nonzero differences, and a tie-corrected normal
-approximation beyond.
+holds the p-value, the paper's +/- decision at significance level 0.05
+('+' when p < 0.05) and `better`, the algorithm whose best fitness ranks
+lower (the larger rank sum of improvements), empty when the rank sums are
+equal. The p-value is the exact signed-rank count for every number of
+nonzero differences, a ratio of integers with the same bits on every
+platform.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import ALGORITHMS, EXACT_LIMIT, run_experiment, wilcoxon_signed_rank
+from .bench import ALGORITHMS, SIGNIFICANCE, run_experiment, wilcoxon_signed_rank
 from .core import ConfigError, DataError, RunResult, mask_string
 from .data import Dataset, generate_m_of_n, load_csv, save_csv, write_rows
 from .fitness import FitnessParams
@@ -140,17 +142,19 @@ def cmd_compare(args) -> int:
         results[algo] = res
     fits_a = [r.best_fitness for r in results[algo_a]]
     fits_b = [r.best_fitness for r in results[algo_b]]
-    p_value, decision = wilcoxon_signed_rank(fits_a, fits_b)
+    p_value, decision, direction = wilcoxon_signed_rank(fits_a, fits_b)
+    # lower fitness is better: a positive direction means a's ranks larger
+    better = {1: algo_b, -1: algo_a, 0: ""}[direction]
     out.mkdir(parents=True, exist_ok=True)
     write_rows(out / "paired.csv",
                ["seed", f"fitness_{algo_a}", f"fitness_{algo_b}"],
                [[r_a.seed, r_a.best_fitness, r_b.best_fitness]
                 for r_a, r_b in zip(results[algo_a], results[algo_b])])
     write_rows(out / "comparison.csv",
-               ["algorithm_a", "algorithm_b", "dataset", "runs", "p_value", "decision"],
-               [[algo_a, algo_b, dataset.name, args.runs, p_value, decision.value]])
+               ["algorithm_a", "algorithm_b", "dataset", "runs", "p_value", "decision", "better"],
+               [[algo_a, algo_b, dataset.name, args.runs, p_value, decision.value, better]])
     print(f"{algo_a} vs {algo_b} on {dataset.name}: "
-          f"p={p_value:.6f} decision={decision.value}")
+          f"p={p_value:.6f} decision={decision.value} better={better or 'neither'}")
     print(f"wrote paired.csv and comparison.csv to {out}")
     return 0
 
@@ -226,9 +230,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     cmp_p = subs.add_parser("compare", help="run two algorithms on identical seeds", description=(
         "Run two algorithms on identical seeds. paired.csv gets each run seed's best fitness "
         "per algorithm; comparison.csv gets the two-sided paired Wilcoxon signed-rank "
-        "p-value and the decision, '+' when p < 0.05 (a significance level, not --alpha). "
-        f"The p-value is exact up to {EXACT_LIMIT} nonzero differences and a tie-corrected "
-        "normal approximation beyond."))
+        f"p-value, the decision, '+' when p < {SIGNIFICANCE} (a significance level, not "
+        "--alpha), and better, the algorithm whose best fitness ranks lower (the larger rank "
+        "sum of improvements), empty when the rank sums are equal. The p-value is the exact "
+        "signed-rank count for every number of nonzero differences, a ratio of integers with "
+        "the same bits on every platform."))
     _add_data_flags(cmp_p)
     _add_run_flags(cmp_p)
     cmp_p.add_argument("--algorithms", nargs=2, choices=ALGORITHMS,

@@ -45,33 +45,63 @@ def brute_error_rate(train_x, train_y, test_x, test_y, k, mask):
     return wrong / len(test_y)
 
 
-def wilcoxon_enum_p(sample_a, sample_b):
-    """Exact two-sided signed-rank p-value by enumerating every sign pattern."""
+def _doubled_signed_ranks(sample_a, sample_b):
+    """Twice the average rank of each nonzero |a - b|, and the observed
+    min(W+, W-) in the same doubled units, by a walk over the tie groups."""
     diffs = [a - b for a, b in zip(sample_a, sample_b) if a != b]
-    if not diffs:
-        return 1.0
     m = len(diffs)
-    # average ranks of |d| with ties
     pairs = sorted((abs(d), i) for i, d in enumerate(diffs))
-    ranks = [0.0] * m
+    ranks = [0] * m
     i = 0
     while i < m:
         j = i
         while j < m and pairs[j][0] == pairs[i][0]:
             j += 1
-        avg = (i + 1 + j) / 2.0
+        # positions i..j-1 hold ranks i+1..j, whose average is (i + 1 + j) / 2
         for t in range(i, j):
-            ranks[pairs[t][1]] = avg
+            ranks[pairs[t][1]] = i + 1 + j
         i = j
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
-    observed = min(w_plus, w_minus)
+    return ranks, min(w_plus, w_minus)
+
+
+def wilcoxon_enum_p(sample_a, sample_b):
+    """Exact two-sided signed-rank p-value by enumerating every sign pattern."""
+    ranks, observed = _doubled_signed_ranks(sample_a, sample_b)
+    if not ranks:
+        return 1.0
+    m = len(ranks)
     total = sum(ranks)
     hits = 0
     for signs in itertools.product((0, 1), repeat=m):
         wp = sum(r for r, s in zip(ranks, signs) if s)
         if min(wp, total - wp) <= observed:
             hits += 1
+    return hits / 2 ** m
+
+
+def wilcoxon_poly_p(sample_a, sample_b):
+    """Exact two-sided signed-rank p-value from the null's generating function.
+
+    The number of sign patterns whose positive ranks sum to w is the
+    coefficient of x**w in the product of (1 + x**r) over the doubled ranks r.
+    The product is held as one Python int with m + 1 bits per coefficient:
+    no coefficient exceeds 2**m, so none carries into the next.
+    """
+    ranks, observed = _doubled_signed_ranks(sample_a, sample_b)
+    if not ranks:
+        return 1.0
+    m = len(ranks)
+    total = sum(ranks)
+    width = m + 1
+    product = 1
+    for r in ranks:
+        product += product << (width * r)
+    digits = format(product, f"0{width * (total + 1)}b")  # x**total's coefficient first
+    coefficients = [int(digits[k:k + width], 2) for k in range(0, len(digits), width)][::-1]
+    assert sum(coefficients) == 2 ** m
+    hits = sum(c for w, c in enumerate(coefficients) if min(w, total - w) <= observed)
     return hits / 2 ** m
 
 

@@ -15,20 +15,21 @@ from hypothesis import strategies as st
 
 from fsro import FitnessParams, RngStream, bench, blas, generate_m_of_n
 from fsro.baselines import GaParams
-from fsro.bench import EXACT_LIMIT, Decision, run_experiment, wilcoxon_signed_rank
+from fsro.bench import Decision, run_experiment, wilcoxon_signed_rank
 from fsro.core import ConfigError
-from oracles import wilcoxon_enum_p
+from oracles import wilcoxon_enum_p, wilcoxon_poly_p
 
 
-def _tied_pairs(g, n, zeros):
-    """Paired samples on a coarse grid: |differences| tie, `zeros` of them are 0.
+def _tied_pairs(g, n, zeros, q=4):
+    """Paired samples on a coarse grid in steps of 1/q: |differences| tie,
+    `zeros` of them are 0.
 
     Positive differences are likelier, so both decisions occur.
     """
-    b = g.integers(0, 6, size=n) / 4.0
+    b = g.integers(0, 6, size=n)
     steps = g.integers(1, 4, size=n) * g.choice([-1, 1], size=n, p=[0.3, 0.7])
     steps[g.choice(n, size=zeros, replace=False)] = 0
-    return list(b + steps / 4.0), list(b)
+    return list((b + steps) / q), list(b / q)
 
 
 def test_exact_branch_matches_enumeration_oracle():
@@ -36,13 +37,26 @@ def test_exact_branch_matches_enumeration_oracle():
     for _ in range(200):
         n = int(g.integers(1, 13))
         a, b = _tied_pairs(g, n, zeros=int(g.integers(0, n // 3 + 1)))
-        p, decision = wilcoxon_signed_rank(a, b)
+        p, decision, _ = wilcoxon_signed_rank(a, b)
         assert p == wilcoxon_enum_p(a, b)
         assert decision is (Decision.SIGNIFICANT if p < 0.05 else Decision.NO_DIFFERENCE)
 
 
+def test_exact_p_matches_the_generating_function_oracle_above_twelve():
+    # 13 to 80 nonzero differences, beyond what enumeration can check
+    g = np.random.default_rng(31)
+    for q in (4, 10, 35):
+        for _ in range(12):
+            nonzero = int(g.integers(13, 81))
+            zeros = int(g.integers(0, nonzero // 3 + 1))
+            a, b = _tied_pairs(g, nonzero + zeros, zeros, q)
+            assert sum(x != y for x, y in zip(a, b)) == nonzero
+            p, _, _ = wilcoxon_signed_rank(a, b)
+            assert p == wilcoxon_poly_p(a, b)
+
+
 # up to 60 pairs on a grid of 3 to 7 levels in steps of 1/q: most |differences|
-# tie, many are zero, and both branches occur (above and below EXACT_LIMIT)
+# tie, many are zero, and both decisions occur
 TIED_PAIRS = st.tuples(st.integers(3, 7), st.integers(1, 60)).flatmap(lambda shape: st.lists(
     st.tuples(st.integers(0, shape[0]), st.integers(0, shape[0])),
     min_size=shape[1], max_size=shape[1]))
@@ -52,16 +66,30 @@ TIED_PAIRS = st.tuples(st.integers(3, 7), st.integers(1, 60)).flatmap(lambda sha
 @given(pairs=TIED_PAIRS, q=st.sampled_from([4, 10, 35]), data=st.data())
 def test_permuting_or_swapping_the_pairs_keeps_p_and_decision(pairs, q, data):
     a, b = [x / q for x, _ in pairs], [y / q for _, y in pairs]
-    p, decision = wilcoxon_signed_rank(a, b)
+    p, decision, direction = wilcoxon_signed_rank(a, b)
     assert 0.0 < p <= 1.0
     assert decision is (Decision.SIGNIFICANT if p < 0.05 else Decision.NO_DIFFERENCE)
     order = data.draw(st.permutations(range(len(pairs))))
-    assert wilcoxon_signed_rank([a[i] for i in order], [b[i] for i in order]) == (p, decision)
-    assert wilcoxon_signed_rank(b, a) == (p, decision)
+    assert (wilcoxon_signed_rank([a[i] for i in order], [b[i] for i in order])
+            == (p, decision, direction))
+    assert wilcoxon_signed_rank(b, a) == (p, decision, -direction)
+
+
+@pytest.mark.parametrize("diffs,direction", [
+    ([1, 2, -1], 1),             # W+ = 4.5 against W- = 1.5
+    ([-1, -2, -3, 10, 11], 1),   # a lower in 3 of 5 pairs, but W+ = 9 against 6
+    ([-1, -2, 3], 0),            # W+ = W- = 3
+    ([-4, 0, 0, -1], -1),
+])
+def test_direction_is_the_sign_of_w_plus_minus_w_minus(diffs, direction):
+    b = [20.0] * len(diffs)
+    a = [y + d for y, d in zip(b, diffs)]
+    assert wilcoxon_signed_rank(a, b)[2] == direction
+    assert wilcoxon_signed_rank(b, a)[2] == -direction
 
 
 def test_identical_samples_give_p_one():
-    assert wilcoxon_signed_rank([0.1, 0.2], [0.1, 0.2]) == (1.0, Decision.NO_DIFFERENCE)
+    assert wilcoxon_signed_rank([0.1, 0.2], [0.1, 0.2]) == (1.0, Decision.NO_DIFFERENCE, 0)
 
 
 def test_unequal_lengths_are_rejected():
@@ -70,15 +98,15 @@ def test_unequal_lengths_are_rejected():
 
 
 @pytest.mark.parametrize("n", [25, 30, 50])
-def test_normal_branch_matches_scipy(n):
+def test_exact_p_matches_scipy_on_tie_free_samples(n):
     stats = pytest.importorskip("scipy.stats")
     g = np.random.default_rng(n)
-    a, b = _tied_pairs(g, n, zeros=3)
-    assert sum(x != y for x, y in zip(a, b)) > EXACT_LIMIT
-    p, _ = wilcoxon_signed_rank(a, b)
-    want = stats.wilcoxon(a, b, zero_method="wilcox", correction=True,
-                          method="approx").pvalue
-    assert p == pytest.approx(want, rel=0, abs=1e-12)
+    b = g.integers(0, 100, size=n).astype(np.float64)
+    # |differences| 1..n: no ties and no zeros, as scipy's exact method needs
+    a = b + (g.permutation(n) + 1) * g.choice([-1, 1], size=n, p=[0.3, 0.7])
+    p, _, _ = wilcoxon_signed_rank(list(a), list(b))
+    want = stats.wilcoxon(a, b, method="exact").pvalue
+    assert p == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def _tiny_experiment(m_runs, workers, base_seed=7):

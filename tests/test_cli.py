@@ -16,7 +16,7 @@ import pytest
 import fsro
 import fsro.bench
 from fsro import FitnessParams, FsroParams, RngStream, cli, generate_m_of_n
-from fsro.bench import ALGORITHMS, EXACT_LIMIT
+from fsro.bench import ALGORITHMS
 from fsro.cli import _load_dataset, _params, build_parser, main
 from fsro.data import load_csv
 
@@ -257,7 +257,9 @@ def test_compare_help_names_its_outputs_and_p_value(capsys):
     for phrase in ("paired.csv gets each run seed's best fitness per algorithm",
                    "comparison.csv gets the two-sided paired Wilcoxon signed-rank p-value",
                    "'+' when p < 0.05",
-                   f"exact up to {EXACT_LIMIT} nonzero differences"):
+                   "better, the algorithm whose best fitness ranks lower",
+                   "the exact signed-rank count for every number of nonzero differences",
+                   "the same bits on every platform"):
         assert phrase in text
 
 
@@ -512,15 +514,19 @@ def test_compare_exits_0_and_writes_its_files(tmp_path, capsys):
     argv = ["compare", *TINY, "--runs", "3", "--iterations", "2",
             "--algorithms", "fsro", "ga", "--out", str(out)]
     assert main(argv) == 0
-    assert "fsro vs ga" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "fsro vs ga" in stdout
     paired = _rows(out / "paired.csv")
     assert paired[0] == ["seed", "fitness_fsro", "fitness_ga"]
     assert [row[0] for row in paired[1:]] == ["3", "4", "5"]
     comparison = _rows(out / "comparison.csv")
     assert comparison[0] == ["algorithm_a", "algorithm_b", "dataset", "runs",
-                             "p_value", "decision"]
+                             "p_value", "decision", "better"]
     assert comparison[1][:2] == ["fsro", "ga"] and comparison[1][3] == "3"
     assert 0.0 <= float(comparison[1][4]) <= 1.0
+    better = comparison[1][6]
+    assert better in ("fsro", "ga", "")
+    assert f"better={better or 'neither'}" in stdout
 
 
 def test_gen_output_reloads_to_the_same_dataset(tmp_path):

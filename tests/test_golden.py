@@ -13,9 +13,10 @@ scores every batch one test row per block.
 Each dataset also has one `fsro compare` case of FSRO against GA over 25
 runs, whose paired.csv and comparison.csv are committed under
 tests/data/golden/<case>/compare/. The m-of-n case has 16 nonzero paired
-differences, so its p-value comes from exact enumeration; the real-valued
-case has 21, above EXACT_LIMIT, so it comes from the normal approximation.
-Both are checked at one and two workers.
+differences and the real-valued case 21; both p-values are exact counts,
+so they pin every bit, and comparison.csv's `better` names FSRO on the
+m-of-n case and GA on the real-valued one. Both are checked at one and two
+workers.
 
 The fixture changes only on purpose, together with a note saying why. To
 re-freeze it, run this file as a script from the repository root:
@@ -32,7 +33,6 @@ from pathlib import Path
 import pytest
 
 from fsro import fitness
-from fsro.bench import EXACT_LIMIT
 from fsro.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -45,7 +45,7 @@ DATASETS = {
 }
 CASES = [(data, algo) for data in DATASETS for algo in ("fsro", "ga", "bpso")]
 COMPARE = ["--algorithms", "fsro", "ga", "--runs", "25", "--iterations", "4", "--pop-size", "8"]
-# the compare cases' nonzero paired differences: one per p-value branch
+# the compare cases' nonzero paired differences, a pin on the paired data
 NONZERO = {"mofn": 16, "real": 21}
 # BLOCK_BYTES per over-budget mode. With 48 (m-of-n, 2-byte keys of the bit
 # path) and 57 (real, 8-byte screened distances) training rows, 1 KB holds at
@@ -98,7 +98,6 @@ def test_compare_replays_golden_outputs(data, workers, tmp_path, monkeypatch):
     rows = [line.split(",") for line in want["paired.csv"].decode().splitlines()[1:]]
     assert len(rows) == 25
     assert sum(a != b for _, a, b in rows) == NONZERO[data]
-    assert (NONZERO[data] > EXACT_LIMIT) == (data == "real")
     assert _replay_files(tmp_path) == want
 
 
